@@ -36,12 +36,10 @@ from .exceptions import ConvergenceError, InfeasibleProblemError
 from .markov import (
     MarkovPricingEconomy,
     RecoveredMeasure,
-    holding_period_return_limit,
     stationary_distribution,
 )
 
 __all__ = [
-    "DivergenceSpec",
     "BoundProblem",
     "BoundResult",
     "phi",
@@ -59,16 +57,6 @@ _GRAD_TOL = 1e-10
 _ROUND_ULPS = 8.0
 _MAX_NEWTON = 200
 _UNBOUNDED_NORM = 1e10
-
-
-@dataclass(frozen=True)
-class DivergenceSpec:
-    """A member of the power-divergence family, indexed by theta."""
-
-    theta: float
-
-    def __call__(self, r):
-        return phi(self.theta, r)
 
 
 def phi(theta: float, r) -> Union[float, NDArray[np.float64]]:
@@ -244,8 +232,7 @@ def conditional_bound(
         psi = np.eye(n)
     else:
         psi = np.atleast_2d(np.asarray(payoff_spec, dtype=float))
-    eta, e_hat = recovered.eta_hat, recovered.e_hat
-    r_inf = np.exp(-eta) * e_hat[None, :] / e_hat[:, None]
+    r_inf = recovered.r_inf
     prices = psi @ q.T  # (m, n): price of each asset per current state
     out = np.empty(n)
     for i in range(n):
@@ -402,12 +389,12 @@ def generate_problem_from_chain(
     transition, contingent on both the current and the next state; this menu
     pins the martingale increment completely).  Population mode enumerates
     every positive-probability transition weighted by the stationary law;
-    sampled mode simulates a path of length ``horizon_t``.
+    sampled mode simulates a path of length ``horizon_t``.  Long-bond returns
+    are read from ``recovered``.
     """
     p = economy.transition.entries
     q = economy.prices.entries
     n = economy.n
-    r_inf = holding_period_return_limit(economy)
 
     pairs_menu = False
     if isinstance(payoff_spec, str):
@@ -461,7 +448,7 @@ def generate_problem_from_chain(
     return BoundProblem(
         payoff_samples=y,
         price_samples=prices_rows,
-        long_bond_return=r_inf[rows_i, rows_j],
+        long_bond_return=recovered.r_inf[rows_i, rows_j],
         weights=weights,
     )
 

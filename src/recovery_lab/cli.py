@@ -232,23 +232,26 @@ def run_lrr(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one_density(item):
-        name, dyn = item
-        return name, lrr_mod.stationary_density(
-            dyn,
-            n_paths=int(sim["n_paths"]),
-            burn_in=sim["burn_in"],
-            seed=args.seed,
-            dt=sim["dt"],
-            bins=int(sim["bins"]),
+    def simulate(job):
+        dyn, seed = job
+        return lrr_mod.simulate_states(
+            dyn, sim["burn_in"], sim["dt"], int(sim["n_paths"]), seed
         )
 
-    workers = min(_max_threads(), len(dynamics))
+    # one stationary ensemble per law for the densities; the physical one
+    # also supplies the yield draws, the recovered law's draws use seed + 1
+    jobs = [(dyn, args.seed) for dyn in dynamics.values()]
+    jobs.append((dynamics["p_hat"], args.seed + 1))
+    workers = min(_max_threads(), len(jobs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            densities = dict(pool.map(one_density, dynamics.items()))
+            ensembles = list(pool.map(simulate, jobs))
     else:
-        densities = dict(map(one_density, dynamics.items()))
+        ensembles = list(map(simulate, jobs))
+    densities = {
+        name: lrr_mod.density_from_draws(*draws, bins=int(sim["bins"]))
+        for name, draws in zip(dynamics, ensembles)
+    }
     for name, result in densities.items():
         _write_csv(
             out / f"density_{name}.csv",
@@ -257,14 +260,7 @@ def run_lrr(args) -> int:
         )
 
     horizons = _parse_horizons(args.horizons or "12:1200:12")
-    draws = (
-        lrr_mod.simulate_states(
-            dynamics["p"], sim["burn_in"], sim["dt"], int(sim["n_paths"]), args.seed
-        ),
-        lrr_mod.simulate_states(
-            dynamics["p_hat"], sim["burn_in"], sim["dt"], int(sim["n_paths"]), args.seed + 1
-        ),
-    )
+    draws = (ensembles[0], ensembles[-1])
     curves = {}
     for flow in ("consumption", "bond"):
         yc = lrr_mod.yield_curves(

@@ -79,6 +79,7 @@ __all__ = [
     "simulate_states",
     "simulate_functional",
     "stationary_density",
+    "density_from_draws",
     "yield_curves",
     "cir_stationary_moments",
     "params_from_dict",
@@ -793,12 +794,15 @@ def stationary_density(
     dt: float = DT_DEFAULT,
     bins: int = 100,
 ) -> DensityResult:
-    """Sample moments and a binned joint density of the stationary law.
-
-    One draw per path after a burn-in from the mean state; the histogram
-    covers mean +/- 4 standard deviations on each axis.
-    """
+    """Stationary density from one draw per path after a burn-in from the mean state."""
     x1, x2 = simulate_states(dynamics, burn_in, dt, n_paths, seed)
+    return density_from_draws(x1, x2, bins)
+
+
+def density_from_draws(
+    x1: NDArray[np.float64], x2: NDArray[np.float64], bins: int = 100
+) -> DensityResult:
+    """Moments and a mean +/- 4 sd histogram of the finite (X1, X2) draws."""
     ok = np.isfinite(x1) & np.isfinite(x2)
     n_nan = int(np.sum(~ok))
     x1, x2 = x1[ok], x2[ok]

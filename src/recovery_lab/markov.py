@@ -80,6 +80,8 @@ __all__ = [
 
 _ROW_SUM_TOL = 1e-12
 _ECONOMY_REL_TOL = 1e-14
+_PF_TOL = 1e-14
+_PF_MAX_ITER = 1_000_000
 
 
 def _as_square(entries, name: str) -> NDArray[np.float64]:
@@ -229,6 +231,11 @@ class RecoveredMeasure:
     e_star: NDArray[np.float64]
     p_hat: StochasticMatrix
     h_increments: Optional[NDArray[np.float64]] = None
+
+    @property
+    def r_inf(self) -> NDArray[np.float64]:
+        """Limiting long-bond return R_inf[i, j] = exp(-eta_hat) e_hat_j / e_hat_i."""
+        return np.exp(-self.eta_hat) * self.e_hat[None, :] / self.e_hat[:, None]
 
 
 @dataclass(frozen=True)
@@ -402,8 +409,9 @@ def _power_iteration(
 
     Iterates v <- A v with sup-norm renormalization and a Rayleigh-quotient
     eigenvalue estimate; converges geometrically at the spectral-gap rate.
-    A stagnation check distinguishes a genuinely slow gap from a reached
-    floating-point floor.
+    A residual that round-off holds above ``tol`` for 50 steps is accepted at
+    or below 1e-10.  Above that the iteration goes on (a non-normal matrix can
+    raise the residual for hundreds of steps); only ``max_iter`` ends it.
     """
     n = a.shape[0]
     v = np.ones(n)
@@ -415,18 +423,11 @@ def _power_iteration(
         lam = float(v @ w) / float(v @ v)
         residual = float(np.max(np.abs(w - lam * v)))
         if residual <= tol * max(1.0, abs(lam)):
-            v = w / np.max(w)
-            return lam, v
-        # Rayleigh-quotient stagnation: residual no longer improving means we
-        # hit the attainable floor for this matrix; accept if near tolerance.
+            return lam, w / np.max(w)
         if residual >= last_residual * (1.0 - 1e-15):
             stagnant += 1
-            if stagnant > 50:
-                if residual <= 1e-10 * max(1.0, abs(lam)):
-                    return lam, w / np.max(w)
-                raise ConvergenceError(
-                    f"power iteration stagnated at residual {residual:.3e}"
-                )
+            if stagnant > 50 and residual <= 1e-10 * max(1.0, abs(lam)):
+                return lam, w / np.max(w)
         else:
             stagnant = 0
         last_residual = residual
@@ -435,7 +436,7 @@ def _power_iteration(
 
 
 def perron_frobenius(
-    prices: PricingMatrix, tol: float = 1e-14, max_iter: int = 1_000_000
+    prices: PricingMatrix, tol: float = _PF_TOL, max_iter: int = _PF_MAX_ITER
 ) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
     """Dominant eigentriple of the pricing matrix.
 
@@ -453,18 +454,39 @@ def perron_frobenius(
     return float(np.log(radius)), e_hat, e_star / e_star.sum()
 
 
+def _recovered_transition(
+    q: NDArray[np.float64], eta: float, e: NDArray[np.float64], name: str
+) -> NDArray[np.float64]:
+    """exp(-eta) q_ij e_j / e_i, rows renormalized.
+
+    With e > 0 it has the zero pattern of the primitive Q, hence is ergodic;
+    its graph is searched only if underflow changed that pattern.
+    """
+    p_hat = np.exp(-eta) * q * (e[None, :] / e[:, None])
+    p_hat /= p_hat.sum(axis=1, keepdims=True)  # remove residual round-off
+    if not np.array_equal(p_hat > 0, q > 0):
+        report = ergodicity_check(StochasticMatrix(p_hat))
+        if not report.ok:
+            raise ErgodicityError(
+                f"{name} is not ergodic: "
+                f"irreducible={report.irreducible}, aperiodic={report.aperiodic}"
+            )
+    return p_hat
+
+
 def recover(
     source: Union[MarkovPricingEconomy, PricingMatrix],
-    tol: float = 1e-14,
-    max_iter: int = 1_000_000,
+    tol: float = _PF_TOL,
+    max_iter: int = _PF_MAX_ITER,
 ) -> RecoveredMeasure:
     """Long-term risk-neutral transition matrix implied by Arrow prices.
 
     p_hat_ij = exp(-eta_hat) q_ij e_hat_j / e_hat_i.  When a full economy is
     supplied, the martingale increments h_hat_ij = p_hat_ij / p_ij are filled
-    in (1 on zero-probability transitions).  The recovered chain must be
-    irreducible and aperiodic; a failure raises ErgodicityError since the
-    probabilistic interpretation is lost outside that scope.
+    in (1 on zero-probability transitions); R_inf is read as ``r_inf``.  The
+    recovered chain must be irreducible and aperiodic, else ErgodicityError is
+    raised; it has the zero pattern of the primitive Q unless an entry
+    underflows, and only then is its graph searched.
     """
     if isinstance(source, MarkovPricingEconomy):
         prices = source.prices
@@ -473,15 +495,9 @@ def recover(
         prices = source
         transition = None
     eta_hat, e_hat, e_star = perron_frobenius(prices, tol=tol, max_iter=max_iter)
-    q = prices.entries
-    p_hat = np.exp(-eta_hat) * q * (e_hat[None, :] / e_hat[:, None])
-    p_hat /= p_hat.sum(axis=1, keepdims=True)  # remove residual round-off
-    report = ergodicity_check(StochasticMatrix(p_hat))
-    if not report.ok:
-        raise ErgodicityError(
-            "recovered transition matrix is not ergodic: "
-            f"irreducible={report.irreducible}, aperiodic={report.aperiodic}"
-        )
+    p_hat = _recovered_transition(
+        prices.entries, eta_hat, e_hat, "recovered transition matrix"
+    )
     h = None
     if transition is not None:
         p = transition.entries
@@ -538,11 +554,11 @@ def holding_period_return_limit(
 ) -> NDArray[np.float64]:
     """Limiting one-period return on a bond of maturity -> infinity.
 
-    R_inf[i, j] = exp(-eta_hat) e_hat_j / e_hat_i for the transition i -> j.
+    R_inf[i, j] = exp(-eta_hat) e_hat_j / e_hat_i for the transition i -> j,
+    read from ``recover(source)``; a caller that already holds the recovery
+    should use its ``r_inf`` instead.
     """
-    prices = source.prices if isinstance(source, MarkovPricingEconomy) else source
-    eta_hat, e_hat, _ = perron_frobenius(prices)
-    return np.exp(-eta_hat) * e_hat[None, :] / e_hat[:, None]
+    return recover(source).r_inf
 
 
 def forward_one_period_limit(
@@ -632,11 +648,13 @@ def yield_curve(
         # Martingale increments of the recovery are chain-measurable, so the
         # conditional growth increments are identical under both measures.
         m = m * growth
-        q = q * growth
-        if not is_primitive(q):
+        q_grown = q * growth
+        # growth > 0 keeps Q's zero pattern unless a product underflows
+        if not np.array_equal(q_grown > 0, q > 0) and not is_primitive(q_grown):
             raise NonPrimitiveMatrixError(
                 "growth-compounded pricing matrix is not primitive"
             )
+        q = q_grown
     out = np.empty((len(horizons), economy.n))
     order = np.argsort(horizons)
     log_num = np.log(psi).copy()
@@ -659,18 +677,13 @@ def yield_curve(
     return out
 
 
-def log_return_bound_check(
-    economy: MarkovPricingEconomy,
-    n_samples: int = 0,
-    seed: Optional[int] = None,
-) -> LogReturnBound:
+def log_return_bound_check(economy: MarkovPricingEconomy) -> LogReturnBound:
     """Both sides of E[log R_inf | x] <= E[log S_t - log S_{t+1} | x].
 
-    On a finite chain both conditional expectations are exact finite sums, so
-    ``n_samples`` and ``seed`` are accepted for interface uniformity and
-    ignored.
+    On a finite chain both conditional expectations are exact finite sums
+    over the positive-probability transitions; R_inf comes from one recovery
+    of the economy.
     """
-    del n_samples, seed
     p = economy.transition.entries
     s = economy.sdf.entries
     r_inf = holding_period_return_limit(economy)
@@ -782,12 +795,9 @@ def extended_pf_family(
                 "moment-generating correction overflowed; zeta too large"
             ) from exc
     modified = PricingMatrix(q_zeta)
-    eta, e, _ = perron_frobenius(modified)
-    p_hat = np.exp(-eta) * q_zeta * (e[None, :] / e[:, None])
-    p_hat /= p_hat.sum(axis=1, keepdims=True)
-    report = ergodicity_check(StochasticMatrix(p_hat))
-    if not report.ok:
-        raise ErgodicityError("zeta-indexed recovered transition is not ergodic")
+    radius, e = _power_iteration(modified.entries, _PF_TOL, _PF_MAX_ITER)
+    eta = float(np.log(radius))
+    p_hat = _recovered_transition(q_zeta, eta, e, "zeta-indexed recovered transition")
     return ExtendedRecovery(eta=eta, e=e, p_hat=StochasticMatrix(p_hat))
 
 
@@ -854,7 +864,8 @@ def structured_recover(
         raise ValueError("y_r_increments must be positive wherever q_ij > 0")
     ratio = np.where(q > 0, q / np.where(g > 0, g, 1.0), 0.0)
     modified = PricingMatrix(ratio)
-    eta, e, _ = perron_frobenius(modified)
+    radius, e = _power_iteration(modified.entries, _PF_TOL, _PF_MAX_ITER)
+    eta = float(np.log(radius))
     m = 1.0 / e
     p_tilde = np.exp(-eta) * ratio * (e[None, :] / e[:, None])
     p_tilde /= p_tilde.sum(axis=1, keepdims=True)

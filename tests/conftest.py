@@ -9,6 +9,19 @@ from recovery_lab import preferences as pref
 TWO_STATE_P = np.array([[0.9, 0.1], [0.1, 0.9]])
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its calls; return the record."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_transition(rng, n, floor=0.02):
     """Random strictly positive transition matrix (hence primitive)."""
     raw = rng.dirichlet(np.ones(n), size=n) + floor

@@ -1,5 +1,7 @@
 """Tests for divergence kernels, conditional discrepancies and dual bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,9 +319,14 @@ class TestProblemGeneration:
         )
         np.testing.assert_array_equal(a.payoff_samples, b.payoff_samples)
 
-    def test_divergence_spec_callable(self):
-        spec = bd.DivergenceSpec(theta=0.0)
-        assert spec(1.0) == 0.0
+    def test_long_bond_return_read_from_recovery(self, recursive_economy):
+        rec = mk.recover(recursive_economy)
+        shifted = dataclasses.replace(rec, eta_hat=rec.eta_hat + 0.1)
+        a = bd.generate_problem_from_chain(recursive_economy, rec, "arrow")
+        b = bd.generate_problem_from_chain(recursive_economy, shifted, "arrow")
+        np.testing.assert_allclose(
+            b.long_bond_return, a.long_bond_return * np.exp(-0.1), rtol=1e-14
+        )
 
     def test_csv_round_trip(self, tmp_path, recursive_economy):
         rec = mk.recover(recursive_economy)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from recovery_lab import cli
+from recovery_lab import lrr as lrr_mod
 from recovery_lab import markov as mk
 
-from conftest import random_recursive_economy
+from conftest import count_calls, random_recursive_economy
 
 
 @pytest.fixture
@@ -162,6 +163,16 @@ class TestLrr:
         for f in ("density_p.csv", "yields_bond.csv", "lrr_summary.json"):
             assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
 
+    def test_physical_law_simulated_once(self, tmp_path, monkeypatch):
+        # densities of three laws, and the recovered law again for the yield
+        # draws; the physical ensemble serves its density and its yields
+        calls = count_calls(monkeypatch, lrr_mod, "simulate_states")
+        assert cli.main(
+            ["lrr", "--out", str(tmp_path / "x"), "--override", "n_paths=200",
+             "--override", "burn_in=12", "--horizons", "12:24:12"]
+        ) == 0
+        assert len(calls) == 4
+
     def test_thread_cap_does_not_change_outputs(self, tmp_path, monkeypatch):
         args = lambda name: [
             "lrr", "--out", str(tmp_path / name), "--seed", "3",
@@ -200,6 +211,13 @@ class TestBounds:
         payload = json.loads((out / "bounds.json").read_text())
         for entry in payload["theta"].values():
             assert abs(entry["lambda_bar"]) <= 1e-10
+
+    def test_one_eigensolve(self, tmp_path, recursive_economy_file, monkeypatch):
+        calls = count_calls(monkeypatch, mk, "perron_frobenius")
+        assert cli.main(
+            ["bounds", "--input", str(recursive_economy_file), "--out", str(tmp_path)]
+        ) == 0
+        assert len(calls) == 1
 
     def test_ten_state_economy_not_rejected(self, tmp_path):
         # a valid economy whose dual Newton used to stall at the round-off

@@ -2,13 +2,51 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from recovery_lab import markov as mk
-from recovery_lab.exceptions import NonPrimitiveMatrixError
+from recovery_lab.exceptions import (
+    ConvergenceError,
+    ErgodicityError,
+    NonPrimitiveMatrixError,
+)
 
-from conftest import random_economy, random_power_economy, random_transition
+from conftest import (
+    count_calls,
+    random_economy,
+    random_power_economy,
+    random_transition,
+)
+
+
+def rouwenhorst(n, rho):
+    """Rouwenhorst transition matrix of an AR(1) with persistence rho."""
+    p = 0.5 * (1.0 + rho)
+    mat = np.array([[p, 1.0 - p], [1.0 - p, p]])
+    for m in range(3, n + 1):
+        nxt = np.zeros((m, m))
+        nxt[:-1, :-1] += p * mat
+        nxt[:-1, 1:] += (1.0 - p) * mat
+        nxt[1:, :-1] += (1.0 - p) * mat
+        nxt[1:, 1:] += p * mat
+        nxt[1:-1] /= 2.0
+        mat = nxt
+    return mat
+
+
+def dense_dominant(a):
+    """Dominant eigenvalue and positive eigenvector (max entry 1) via eig."""
+    vals, vecs = np.linalg.eig(a)
+    k = np.argmax(vals.real)
+    v = np.abs(vecs[:, k].real)
+    return vals.real[k], v / v.max()
+
+
+# Arrow-price entries for the underflow property: zeros, subnormals whose
+# products with an eigenvector ratio below one can round to zero, and normals
+PATTERN_ENTRIES = st.sampled_from([0.0, 0.0, 5e-324, 1e-321, 1e-310, 1e-3, 0.3, 0.9])
 
 
 class TestTypes:
@@ -150,6 +188,24 @@ class TestPerronFrobenius:
             resid = eco.prices.entries @ e_hat - np.exp(eta) * e_hat
             assert np.max(np.abs(resid)) <= 1e-10
 
+    def test_nonnormal_transient_is_not_stagnation(self):
+        # 6 x 6 two-factor grid with a distorted power-utility SDF; the left
+        # iteration's residual rises for ~160 steps before it converges
+        p = np.kron(rouwenhorst(6, np.exp(-0.021)), rouwenhorst(6, np.exp(-0.013)))
+        p /= p.sum(axis=1, keepdims=True)
+        rng = np.random.default_rng(np.random.SeedSequence((102, 1)))
+        rng.normal(0.0, 0.05, size=36)
+        c = np.exp(rng.normal(0.0, 0.05, size=36))
+        s = np.exp(-0.002 - 10.0 * 0.001) * (c[None, :] / c[:, None]) ** -10.0
+        s = s * np.exp(0.1 * rng.standard_normal((36, 36)))
+        eco = mk.build_economy(mk.StochasticMatrix(p), mk.SdfMatrix(s))
+        rec = mk.recover(eco)
+        radius, e_hat = dense_dominant(eco.prices.entries)
+        _, e_star = dense_dominant(eco.prices.entries.T)
+        assert rec.eta_hat == pytest.approx(np.log(radius), abs=1e-9)
+        np.testing.assert_allclose(rec.e_hat, e_hat, atol=1e-9)
+        np.testing.assert_allclose(rec.e_star, e_star / e_star.sum(), atol=1e-9)
+
 
 class TestRecover:
     def test_power_utility_recovers_transition(self, power_economy, two_state_transition):
@@ -235,6 +291,37 @@ class TestRecover:
         b = mk.log_return_bound_check(eco)
         assert np.all(b.slack >= -1e-12)
 
+    def test_underflow_that_breaks_the_pattern_is_caught(self):
+        # p_hat[2, 0] = 1e-321 * e_0 / (0.9 e_2) rounds to zero, which cuts
+        # the only path back to state 0
+        q = mk.PricingMatrix([[0.5, 0.4, 0.0], [0.0, 1e-4, 1e-3], [1e-321, 0.0, 0.9]])
+        with pytest.raises(ErgodicityError, match="irreducible=False"):
+            mk.recover(q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: arrays(np.float64, (n, n), elements=PATTERN_ENTRIES)
+        )
+    )
+    def test_ergodicity_error_iff_graph_check_fails(self, q):
+        # a normal entry in every row keeps the spectral radius itself normal
+        assume(mk.is_primitive(q) and q.sum(axis=1).min() >= 1e-3)
+        prices = mk.PricingMatrix(q)
+        try:
+            eta, e_hat, _ = mk.perron_frobenius(prices, max_iter=2_000)
+        except ConvergenceError:
+            assume(False)  # dominant eigenvalue numerically multiple
+        with np.errstate(all="ignore"):  # an underflowed e_hat entry gives inf
+            p_hat = np.exp(-eta) * q * (e_hat[None, :] / e_hat[:, None])
+            p_hat /= p_hat.sum(axis=1, keepdims=True)
+        assume(np.all(np.isfinite(p_hat)))
+        if mk.ergodicity_check(mk.StochasticMatrix(p_hat)).ok:
+            mk.recover(prices, max_iter=2_000)
+        else:
+            with pytest.raises(ErgodicityError):
+                mk.recover(prices, max_iter=2_000)
+
     def test_ross_form_iff_unit_martingale(self):
         # distorting a unit-martingale economy by increments h recovers 1/h
         rng = np.random.default_rng(14)
@@ -288,6 +375,15 @@ class TestLongMaturityLimits:
         )
         r = mk.holding_period_return_limit(eco)
         np.testing.assert_allclose(r, np.exp(delta), atol=1e-11)
+
+    def test_holding_period_return_is_the_recovery_r_inf(self, recursive_economy):
+        rec = mk.recover(recursive_economy)
+        np.testing.assert_array_equal(
+            mk.holding_period_return_limit(recursive_economy), rec.r_inf
+        )
+        # the repricing identity: R_inf_ij = p_hat_ij / q_ij
+        q = recursive_economy.prices.entries
+        np.testing.assert_allclose(rec.r_inf, rec.p_hat.entries / q, rtol=1e-12)
 
     def test_finite_maturity_convergence(self):
         rng = np.random.default_rng(21)
@@ -411,6 +507,15 @@ class TestYieldCurve:
         y2 = mk.yield_curve(power_economy, g, [3], measure="P")
         np.testing.assert_allclose(y1, y2, atol=1e-14)
 
+    def test_growth_underflow_that_breaks_primitivity_rejected(self):
+        # q[1, 0] * growth[1, 0] = 1e-300 * 1e-30 rounds to zero, leaving
+        # state 0 unreachable
+        transition = mk.StochasticMatrix([[0.0, 1.0], [1e-300, 1.0]])
+        eco = mk.build_economy(transition, mk.SdfMatrix(np.ones((2, 2))))
+        growth = np.array([[1.0, 1.0], [1e-30, 1.0]])
+        with pytest.raises(NonPrimitiveMatrixError, match="growth-compounded"):
+            mk.yield_curve(eco, growth, [1, 2])
+
     def test_horizon_zero_rejected(self, power_economy):
         with pytest.raises(ValueError, match="positive"):
             mk.yield_curve(power_economy, np.ones(2), [0])
@@ -488,6 +593,12 @@ class TestExtendedFamily:
         ext = mk.extended_pf_family(eco, blocks, zeta, sdf_gaussian_loading=a_s)
         np.testing.assert_allclose(ext.p_hat.entries, transition.entries, atol=1e-10)
 
+    def test_one_right_eigensolve(self, monkeypatch):
+        _, y, eco, a_s = self._setup()
+        calls = count_calls(monkeypatch, mk, "_power_iteration")
+        mk.extended_pf_family(eco, y, 0.8, sdf_gaussian_loading=a_s)
+        assert len(calls) == 1
+
 
 class TestStructuredRecovery:
     def test_unit_reference_reduces_to_recover(self):
@@ -510,6 +621,11 @@ class TestStructuredRecovery:
         sr = mk.structured_recover(eco, g_r)
         np.testing.assert_allclose(sr.p_tilde.entries, transition.entries, atol=1e-10)
         assert sr.delta == pytest.approx(delta, abs=1e-10)
+
+    def test_one_right_eigensolve(self, power_economy, monkeypatch):
+        calls = count_calls(monkeypatch, mk, "_power_iteration")
+        mk.structured_recover(power_economy, np.ones((2, 2)))
+        assert len(calls) == 1
 
     def test_zero_reference_on_live_cell_rejected(self, power_economy):
         g = np.ones((2, 2))
