@@ -62,13 +62,13 @@ _UNBOUNDED_NORM = 1e10
 def phi(theta: float, r) -> Union[float, NDArray[np.float64]]:
     """Power divergence kernel; r may be a scalar or an array.
 
-    r = 0 is admitted for theta > 0 (continuous extension); elsewhere the
-    kernel is undefined at 0 and a ValueError is raised.
+    r = 0 is admitted for theta >= 0 (continuous extension); for theta < 0
+    the kernel is undefined at 0 and a ValueError is raised.
     """
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise ValueError("phi is defined on nonnegative arguments only")
-    if np.any(arr == 0) and theta <= 0:
+    if np.any(arr == 0) and theta < 0:
         raise ValueError(f"phi with theta={theta} is undefined at r=0")
     # the generic formula cancels catastrophically next to its two poles;
     # switch to the limit kernels there (error is O(theta), below round-off
@@ -424,8 +424,10 @@ def generate_problem_from_chain(
         states[0] = rng.choice(n, p=pi)
         cum = np.cumsum(p, axis=1)
         draws = rng.random(horizon_t)
+        # successor[i, t]: the state after i at step t, for every i at once
+        successor = np.stack([np.searchsorted(cum[i], draws) for i in range(n)])
         for t in range(horizon_t):
-            states[t + 1] = np.searchsorted(cum[states[t]], draws[t])
+            states[t + 1] = successor[states[t], t]
         rows_i, rows_j = states[:-1], states[1:]
         weights = np.full(horizon_t, 1.0 / horizon_t)
     else:

@@ -43,15 +43,16 @@ def _max_threads() -> int:
         return 1
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns as a CSV table, each cell as ``%.12g``."""
+    np.savetxt(
+        path,
+        np.column_stack(columns),
+        fmt="%.12g",
+        delimiter=",",
+        header=",".join(header),
+        comments="",
+    )
 
 
 def _write_json(path: Path, payload) -> None:
@@ -108,29 +109,20 @@ def run_recover(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "recovery.json", markov.recovery_to_dict(recovered))
     if isinstance(source, markov.MarkovPricingEconomy):
-        p = source.transition.entries
-        s = source.sdf.entries
-        q = source.prices.entries
         e = recovered.e_hat
-        rows = []
-        for i in range(source.n):
-            for j in range(source.n):
-                rows.append(
-                    (
-                        i,
-                        j,
-                        p[i, j],
-                        s[i, j],
-                        q[i, j],
-                        recovered.p_hat.entries[i, j],
-                        recovered.h_increments[i, j],
-                        np.exp(recovered.eta_hat) * e[i] / e[j],
-                    )
-                )
+        i, j = np.indices((source.n, source.n))
+        matrices = (
+            source.transition.entries,
+            source.sdf.entries,
+            source.prices.entries,
+            recovered.p_hat.entries,
+            recovered.h_increments,
+            np.exp(recovered.eta_hat) * e[:, None] / e[None, :],
+        )
         _write_csv(
             out / "decomposition.csv",
             ["i", "j", "p", "s", "q", "p_hat", "h_hat", "trend_eigen_part"],
-            rows,
+            [m.ravel() for m in (i, j, *matrices)],
         )
     return 0
 
@@ -158,12 +150,11 @@ def run_forward(args) -> int:
         },
     )
     taus = [2, 5, 10, 25, 50, 100, 200]
-    rows = []
-    for tau in taus:
-        limit = markov.forward_one_period_limit(prices, tau)
-        dist = float(np.max(np.abs(limit - recovered.p_hat.entries)))
-        rows.append((tau, dist))
-    _write_csv(out / "forward_limit.csv", ["tau", "sup_distance_to_p_hat"], rows)
+    dists = [
+        np.max(np.abs(markov.forward_one_period_limit(prices, tau) - recovered.p_hat.entries))
+        for tau in taus
+    ]
+    _write_csv(out / "forward_limit.csv", ["tau", "sup_distance_to_p_hat"], [taus, dists])
     return 0
 
 
@@ -183,26 +174,21 @@ def run_yields(args) -> int:
     under_hat = markov.yield_curve(source, cash_flow, horizons, measure="P_hat")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for k, t in enumerate(horizons):
-        for i in range(source.n):
-            rows.append((t, i, under_p[k, i], under_hat[k, i]))
+    t, i = np.meshgrid(horizons, np.arange(source.n), indexing="ij")
     _write_csv(
-        out / "yields.csv", ["horizon", "state", "yield_p", "yield_p_hat"], rows
+        out / "yields.csv",
+        ["horizon", "state", "yield_p", "yield_p_hat"],
+        [t.ravel(), i.ravel(), under_p.ravel(), under_hat.ravel()],
     )
     return 0
 
 
-def _density_rows(result: lrr_mod.DensityResult):
+def _density_columns(result: lrr_mod.DensityResult):
+    """Bin centres and mass of the occupied cells, in row-major order."""
     centers1 = 0.5 * (result.x1_edges[:-1] + result.x1_edges[1:])
     centers2 = 0.5 * (result.x2_edges[:-1] + result.x2_edges[1:])
-    rows = []
-    for a, c1 in enumerate(centers1):
-        for b, c2 in enumerate(centers2):
-            mass = result.hist[a, b]
-            if mass > 0:
-                rows.append((c1, c2, mass))
-    return rows
+    a, b = np.nonzero(result.hist > 0)
+    return [centers1[a], centers2[b], result.hist[a, b]]
 
 
 def run_lrr(args) -> int:
@@ -256,7 +242,7 @@ def run_lrr(args) -> int:
         _write_csv(
             out / f"density_{name}.csv",
             ["x1", "x2", "mass"],
-            _density_rows(result),
+            _density_columns(result),
         )
 
     horizons = _parse_horizons(args.horizons or "12:1200:12")
@@ -271,15 +257,6 @@ def run_lrr(args) -> int:
             state_draws=draws,
         )
         curves[flow] = yc
-        rows = []
-        for k, t in enumerate(yc.horizons):
-            rows.append(
-                (
-                    t,
-                    *yc.quartiles_p[:, k],
-                    *yc.quartiles_p_hat[:, k],
-                )
-            )
         _write_csv(
             out / f"yields_{flow}.csv",
             [
@@ -291,7 +268,7 @@ def run_lrr(args) -> int:
                 "p_hat_q50",
                 "p_hat_q75",
             ],
-            rows,
+            [yc.horizons, *yc.quartiles_p, *yc.quartiles_p_hat],
         )
     _write_json(
         out / "lrr_summary.json",
@@ -379,14 +356,14 @@ def _tauchen_rows(means, sd, grid):
     difference rounds to zero above ~8 standard deviations, which would make
     nearly frozen chains spuriously reducible).
     """
-    from scipy.stats import norm
+    from scipy.special import ndtr  # standard normal cdf
 
     edges = np.concatenate(
         [[-np.inf], 0.5 * (grid[:-1] + grid[1:]), [np.inf]]
     )
     z = (edges[None, :] - np.asarray(means)[:, None]) / sd
-    lower = np.diff(norm.cdf(z), axis=1)
-    upper = -np.diff(norm.sf(z), axis=1)
+    lower = np.diff(ndtr(z), axis=1)
+    upper = -np.diff(ndtr(-z), axis=1)
     mid = 0.5 * (z[:, :-1] + z[:, 1:])
     rows = np.where(mid <= 0, lower, upper)
     return rows / rows.sum(axis=1, keepdims=True)
@@ -501,7 +478,9 @@ def run_demo_approx(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = [row for entry in report for row in entry["rows"]]
-    _write_csv(out / "approx_residuals.csv", ["rho", "zeta", "residual"], rows)
+    _write_csv(
+        out / "approx_residuals.csv", ["rho", "zeta", "residual"], np.reshape(rows, (-1, 3)).T
+    )
     _write_json(
         out / "approx_report.json",
         {

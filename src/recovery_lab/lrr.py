@@ -38,7 +38,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import solve_ivp
 
 from .exceptions import (
     BlowUpError,
@@ -579,6 +578,7 @@ def solve_affine_ode(
     all starting from zero.  Adaptive 4th/5th-order integration; a Riccati
     explosion before t_max raises BlowUpError with the estimated time.
     """
+    from scipy.integrate import solve_ivp  # here, so importing the package loads no scipy
     d = dynamics
     f = functional
     s11 = float(d.sigma_1 @ d.sigma_1)

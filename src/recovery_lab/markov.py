@@ -32,7 +32,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse.csgraph import connected_components
 
 from .exceptions import (
     ConvergenceError,
@@ -454,23 +453,35 @@ def perron_frobenius(
     return float(np.log(radius)), e_hat, e_star / e_star.sum()
 
 
+def _require_primitive(
+    derived: NDArray[np.float64], q: NDArray[np.float64], name: str, error=NonPrimitiveMatrixError
+) -> None:
+    """Raise ``error`` unless ``derived``, built from the primitive Q, is primitive.
+
+    Positive factors keep Q's zero pattern, and with it primitivity, so the
+    graph is searched only if underflow changed that pattern.
+    """
+    if not np.all(np.isfinite(derived)):
+        raise ValueError(f"{name} contains non-finite entries")
+    if not np.array_equal(derived > 0, q > 0):
+        report = _graph_report(derived > 0)
+        if not report.ok:
+            raise error(
+                f"{name} is not primitive: "
+                f"irreducible={report.irreducible}, aperiodic={report.aperiodic}"
+            )
+
+
 def _recovered_transition(
     q: NDArray[np.float64], eta: float, e: NDArray[np.float64], name: str
 ) -> NDArray[np.float64]:
-    """exp(-eta) q_ij e_j / e_i, rows renormalized.
+    """exp(-eta) q_ij e_j / e_i, rows renormalized; ErgodicityError if not ergodic.
 
-    With e > 0 it has the zero pattern of the primitive Q, hence is ergodic;
-    its graph is searched only if underflow changed that pattern.
+    With e > 0 it has the zero pattern of the primitive Q, hence is ergodic.
     """
     p_hat = np.exp(-eta) * q * (e[None, :] / e[:, None])
     p_hat /= p_hat.sum(axis=1, keepdims=True)  # remove residual round-off
-    if not np.array_equal(p_hat > 0, q > 0):
-        report = ergodicity_check(StochasticMatrix(p_hat))
-        if not report.ok:
-            raise ErgodicityError(
-                f"{name} is not ergodic: "
-                f"irreducible={report.irreducible}, aperiodic={report.aperiodic}"
-            )
+    _require_primitive(p_hat, q, name, ErgodicityError)
     return p_hat
 
 
@@ -649,11 +660,7 @@ def yield_curve(
         # conditional growth increments are identical under both measures.
         m = m * growth
         q_grown = q * growth
-        # growth > 0 keeps Q's zero pattern unless a product underflows
-        if not np.array_equal(q_grown > 0, q > 0) and not is_primitive(q_grown):
-            raise NonPrimitiveMatrixError(
-                "growth-compounded pricing matrix is not primitive"
-            )
+        _require_primitive(q_grown, q, "growth-compounded pricing matrix")
         q = q_grown
     out = np.empty((len(horizons), economy.n))
     order = np.argsort(horizons)
@@ -794,8 +801,8 @@ def extended_pf_family(
             raise OverflowError(
                 "moment-generating correction overflowed; zeta too large"
             ) from exc
-    modified = PricingMatrix(q_zeta)
-    radius, e = _power_iteration(modified.entries, _PF_TOL, _PF_MAX_ITER)
+    _require_primitive(q_zeta, q, "zeta-weighted pricing matrix")
+    radius, e = _power_iteration(q_zeta, _PF_TOL, _PF_MAX_ITER)
     eta = float(np.log(radius))
     p_hat = _recovered_transition(q_zeta, eta, e, "zeta-indexed recovered transition")
     return ExtendedRecovery(eta=eta, e=e, p_hat=StochasticMatrix(p_hat))
@@ -853,7 +860,8 @@ def structured_recover(
 
         p_tilde_ij = q_ij * exp(delta) * (m_i / m_j) / g_ij
 
-    is the recovered subjective transition matrix.
+    is the recovered subjective transition matrix.  Like ``recover``, it
+    raises ErgodicityError if underflow leaves p_tilde reducible or periodic.
     """
     prices = source.prices if isinstance(source, MarkovPricingEconomy) else source
     q = prices.entries
@@ -863,14 +871,12 @@ def structured_recover(
     if np.any((g <= 0) & (q > 0)):
         raise ValueError("y_r_increments must be positive wherever q_ij > 0")
     ratio = np.where(q > 0, q / np.where(g > 0, g, 1.0), 0.0)
-    modified = PricingMatrix(ratio)
-    radius, e = _power_iteration(modified.entries, _PF_TOL, _PF_MAX_ITER)
+    _require_primitive(ratio, q, "growth-adjusted pricing matrix")
+    radius, e = _power_iteration(ratio, _PF_TOL, _PF_MAX_ITER)
     eta = float(np.log(radius))
-    m = 1.0 / e
-    p_tilde = np.exp(-eta) * ratio * (e[None, :] / e[:, None])
-    p_tilde /= p_tilde.sum(axis=1, keepdims=True)
+    p_tilde = _recovered_transition(ratio, eta, e, "structured recovered transition")
     return StructuredRecovery(
-        delta=-eta, m_tilde=m, p_tilde=StochasticMatrix(p_tilde)
+        delta=-eta, m_tilde=1.0 / e, p_tilde=StochasticMatrix(p_tilde)
     )
 
 
@@ -879,40 +885,50 @@ def structured_recover(
 # ---------------------------------------------------------------------------
 
 
+def _bfs_levels(adj: NDArray[np.bool_], source: int) -> NDArray[np.int_]:
+    """Breadth-first level of every state from ``source`` (-1 if unreached)."""
+    level = np.full(adj.shape[0], -1)
+    frontier = np.arange(adj.shape[0]) == source
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    return level
+
+
+def _graph_report(adj: NDArray[np.bool_]) -> ErgodicityReport:
+    """Strong connectivity, period and class count of a directed graph.
+
+    The graph is strongly connected when breadth-first searches from state 0
+    along the edges and against them both reach every state.  The period is
+    the gcd of (level[u] + 1 - level[v]) over edges u -> v, which equals the
+    gcd of all cycle lengths through the root.  Only a reducible graph has its
+    strongly connected classes counted: each is the forward reach intersected
+    with the backward reach of the first state not yet in a class.
+    """
+    level = _bfs_levels(adj, 0)
+    if np.all(level >= 0) and np.all(_bfs_levels(adj.T, 0) >= 0):
+        rows, cols = np.nonzero(adj)
+        period = int(np.gcd.reduce(level[rows] + 1 - level[cols]))
+        return ErgodicityReport(True, period == 1, 1, period)
+    unassigned = np.ones(adj.shape[0], dtype=bool)
+    n_classes = 0
+    while unassigned.any():
+        s = int(np.argmax(unassigned))
+        unassigned &= (_bfs_levels(adj, s) < 0) | (_bfs_levels(adj.T, s) < 0)
+        n_classes += 1
+    return ErgodicityReport(False, False, n_classes, 0)
+
+
 def ergodicity_check(transition: StochasticMatrix) -> ErgodicityReport:
     """Irreducibility and aperiodicity report for a finite chain.
 
-    Irreducibility is strong connectivity of the positive-transition graph.
-    The period is the gcd of (level[u] + 1 - level[v]) over edges u -> v of a
-    BFS tree, which equals the gcd of all cycle lengths through the root.  A
-    finite irreducible chain is automatically positive recurrent.
+    Irreducibility is strong connectivity of the positive-transition graph,
+    and the period is read from a breadth-first search (``_graph_report``).
+    A finite irreducible chain is automatically positive recurrent.
     """
-    a = transition.entries > 0
-    n_classes, _ = connected_components(a, directed=True, connection="strong")
-    irreducible = n_classes == 1
-    period = 0
-    if irreducible:
-        n = a.shape[0]
-        level = np.full(n, -1)
-        level[0] = 0
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.flatnonzero(a[u]):
-                    if level[v] < 0:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        rows, cols = np.nonzero(a)
-        deltas = level[rows] + 1 - level[cols]
-        period = int(np.gcd.reduce(deltas))
-    return ErgodicityReport(
-        irreducible=irreducible,
-        aperiodic=irreducible and period == 1,
-        n_classes=int(n_classes),
-        period=period,
-    )
+    return _graph_report(transition.entries > 0)
 
 
 def enumerate_positive_eigen(

@@ -51,6 +51,33 @@ def random_recursive_economy(rng, n):
     return mk.build_economy(transition, pref.recursive_sdf(spec, transition, value))
 
 
+def rouwenhorst(n, rho):
+    """Rouwenhorst transition matrix of an AR(1) with persistence rho."""
+    p = 0.5 * (1.0 + rho)
+    mat = np.array([[p, 1.0 - p], [1.0 - p, p]])
+    for m in range(3, n + 1):
+        nxt = np.zeros((m, m))
+        nxt[:-1, :-1] += p * mat
+        nxt[:-1, 1:] += (1.0 - p) * mat
+        nxt[1:, :-1] += (1.0 - p) * mat
+        nxt[1:, 1:] += p * mat
+        nxt[1:-1] /= 2.0
+        mat = nxt
+    return mat
+
+
+def stagnation_grid_economy():
+    """36-state economy on a 6 x 6 two-factor grid with a distorted power-utility SDF."""
+    p = np.kron(rouwenhorst(6, np.exp(-0.021)), rouwenhorst(6, np.exp(-0.013)))
+    p /= p.sum(axis=1, keepdims=True)
+    rng = np.random.default_rng(np.random.SeedSequence((102, 1)))
+    rng.normal(0.0, 0.05, size=36)
+    c = np.exp(rng.normal(0.0, 0.05, size=36))
+    s = np.exp(-0.002 - 10.0 * 0.001) * (c[None, :] / c[:, None]) ** -10.0
+    s = s * np.exp(0.1 * rng.standard_normal((36, 36)))
+    return mk.build_economy(mk.StochasticMatrix(p), mk.SdfMatrix(s))
+
+
 def random_economy(rng, n=None):
     """Economy with unstructured positive discount factors."""
     n = n or int(rng.integers(2, 8))

@@ -25,8 +25,7 @@ class TestPhi:
 
     def test_entropy_branch(self):
         assert bd.phi(0.0, 2.0) == pytest.approx(2 * np.log(2.0), rel=1e-14)
-        with pytest.raises(ValueError, match="undefined"):
-            bd.phi(0.0, 0.0)  # zero only admitted for theta > 0
+        assert bd.phi(0.0, 0.0) == 0.0  # 0 log 0 = 0, the limit at r -> 0
 
     def test_log_branch(self):
         assert bd.phi(-1.0, 2.0) == pytest.approx(-np.log(2.0), rel=1e-14)
@@ -318,6 +317,22 @@ class TestProblemGeneration:
             recursive_economy, rec, "arrow", horizon_t=500, mode="sampled", seed=3
         )
         np.testing.assert_array_equal(a.payoff_samples, b.payoff_samples)
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_sampled_path_matches_per_step_walk(self, n):
+        eco = random_recursive_economy(np.random.default_rng(n), n)
+        prob = bd.generate_problem_from_chain(
+            eco, mk.recover(eco), "arrow", horizon_t=2_000, mode="sampled", seed=7
+        )
+        rng = np.random.default_rng(7)
+        p = eco.transition.entries
+        states = [rng.choice(n, p=mk.stationary_distribution(eco.transition))]
+        cum = np.cumsum(p, axis=1)
+        for u in rng.random(2_000):
+            states.append(int(np.searchsorted(cum[states[-1]], u)))
+        states = np.asarray(states)
+        np.testing.assert_array_equal(prob.payoff_samples, np.eye(n)[states[1:]])
+        np.testing.assert_array_equal(prob.price_samples, eco.prices.entries[states[:-1]])
 
     def test_long_bond_return_read_from_recovery(self, recursive_economy):
         rec = mk.recover(recursive_economy)

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ from recovery_lab import cli
 from recovery_lab import lrr as lrr_mod
 from recovery_lab import markov as mk
 
-from conftest import count_calls, random_recursive_economy
+from conftest import count_calls, random_recursive_economy, stagnation_grid_economy
 
 
 @pytest.fixture
@@ -32,6 +35,28 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
     return header, np.asarray(rows)
+
+
+def test_package_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, recovery_lab, recovery_lab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_write_csv_cells_match_python_format(tmp_path):
+    floats = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0])
+    ints = np.arange(floats.size) * 10**6 - 3
+    cli._write_csv(tmp_path / "t.csv", ["x", "k"], [floats, ints])
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[0] == "x,k"
+    assert lines[1:] == [f"{float(x):.12g},{float(k):.12g}" for x, k in zip(floats, ints)]
 
 
 class TestRecover:
@@ -233,6 +258,20 @@ class TestBounds:
         for entry in payload["theta"].values():
             assert entry["converged"]
             assert np.max(np.abs(entry["constraint_residuals"])) <= 1e-8
+
+    def test_entropy_bound_with_underflowed_primal(self, tmp_path):
+        # at theta = 0 the primal exp(z - 1) underflows to 0 on some of the
+        # 1,296 population rows, where 0 log 0 = 0 is the kernel's limit
+        path = tmp_path / "economy.json"
+        path.write_text(json.dumps(mk.economy_to_dict(stagnation_grid_economy())))
+        out = tmp_path / "bnd"
+        assert cli.main(
+            ["bounds", "--input", str(path), "--out", str(out), "--theta=-1,0,1"]
+        ) == 0
+        payload = json.loads((out / "bounds.json").read_text())
+        for entry in payload["theta"].values():
+            assert entry["lambda_bar"] <= entry["population_discrepancy"] + 1e-10
+            assert entry["duality_gap"] <= 1e-10
 
 
 class TestDemoApprox:

@@ -1,5 +1,7 @@
 """Unit and property tests for the finite-state recovery machinery."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,22 +20,8 @@ from conftest import (
     random_economy,
     random_power_economy,
     random_transition,
+    stagnation_grid_economy,
 )
-
-
-def rouwenhorst(n, rho):
-    """Rouwenhorst transition matrix of an AR(1) with persistence rho."""
-    p = 0.5 * (1.0 + rho)
-    mat = np.array([[p, 1.0 - p], [1.0 - p, p]])
-    for m in range(3, n + 1):
-        nxt = np.zeros((m, m))
-        nxt[:-1, :-1] += p * mat
-        nxt[:-1, 1:] += (1.0 - p) * mat
-        nxt[1:, :-1] += (1.0 - p) * mat
-        nxt[1:, 1:] += p * mat
-        nxt[1:-1] /= 2.0
-        mat = nxt
-    return mat
 
 
 def dense_dominant(a):
@@ -42,6 +30,36 @@ def dense_dominant(a):
     k = np.argmax(vals.real)
     v = np.abs(vecs[:, k].real)
     return vals.real[k], v / v.max()
+
+
+def brute_force_period(adj):
+    """gcd of the closed-walk lengths k <= n, read from boolean matrix powers.
+
+    Every cycle of an irreducible graph is a sum of simple cycles, which are
+    no longer than n, so this is the period.
+    """
+    walk, period = np.eye(adj.shape[0], dtype=int), 0
+    for k in range(1, adj.shape[0] + 1):
+        walk = np.minimum(walk @ adj.astype(int), 1)
+        if walk.diagonal().any():
+            period = math.gcd(period, k)
+    return period
+
+
+@st.composite
+def graph_patterns(draw):
+    """Random 1-8 state patterns, some of them periodic by construction.
+
+    A draw of d > 1 keeps only the edges from class i mod d to the next class,
+    so every cycle length is a multiple of d.
+    """
+    n = draw(st.integers(1, 8))
+    adj = draw(arrays(np.bool_, (n, n)))
+    d = draw(st.integers(1, n))
+    if d > 1:
+        cls = np.arange(n) % d
+        adj &= cls[None, :] == (cls[:, None] + 1) % d
+    return adj
 
 
 # Arrow-price entries for the underflow property: zeros, subnormals whose
@@ -189,16 +207,8 @@ class TestPerronFrobenius:
             assert np.max(np.abs(resid)) <= 1e-10
 
     def test_nonnormal_transient_is_not_stagnation(self):
-        # 6 x 6 two-factor grid with a distorted power-utility SDF; the left
-        # iteration's residual rises for ~160 steps before it converges
-        p = np.kron(rouwenhorst(6, np.exp(-0.021)), rouwenhorst(6, np.exp(-0.013)))
-        p /= p.sum(axis=1, keepdims=True)
-        rng = np.random.default_rng(np.random.SeedSequence((102, 1)))
-        rng.normal(0.0, 0.05, size=36)
-        c = np.exp(rng.normal(0.0, 0.05, size=36))
-        s = np.exp(-0.002 - 10.0 * 0.001) * (c[None, :] / c[:, None]) ** -10.0
-        s = s * np.exp(0.1 * rng.standard_normal((36, 36)))
-        eco = mk.build_economy(mk.StochasticMatrix(p), mk.SdfMatrix(s))
+        # the left iteration's residual rises for ~160 steps before it converges
+        eco = stagnation_grid_economy()
         rec = mk.recover(eco)
         radius, e_hat = dense_dominant(eco.prices.entries)
         _, e_star = dense_dominant(eco.prices.entries.T)
@@ -599,6 +609,13 @@ class TestExtendedFamily:
         mk.extended_pf_family(eco, y, 0.8, sdf_gaussian_loading=a_s)
         assert len(calls) == 1
 
+    def test_no_primitivity_recheck(self, monkeypatch):
+        # Q_zeta has Q's zero pattern, so Q's primitivity carries over
+        _, y, eco, a_s = self._setup()
+        calls = count_calls(monkeypatch, mk, "is_primitive")
+        mk.extended_pf_family(eco, y, 0.8, sdf_gaussian_loading=a_s)
+        assert calls == []
+
 
 class TestStructuredRecovery:
     def test_unit_reference_reduces_to_recover(self):
@@ -627,6 +644,17 @@ class TestStructuredRecovery:
         mk.structured_recover(power_economy, np.ones((2, 2)))
         assert len(calls) == 1
 
+    def test_no_primitivity_recheck(self, power_economy, monkeypatch):
+        calls = count_calls(monkeypatch, mk, "is_primitive")
+        mk.structured_recover(power_economy, np.full((2, 2), 1.1))
+        assert calls == []
+
+    def test_underflow_that_breaks_the_pattern_is_caught(self):
+        # p_tilde[2, 0] rounds to zero as in the matching recover test
+        q = mk.PricingMatrix([[0.5, 0.4, 0.0], [0.0, 1e-4, 1e-3], [1e-321, 0.0, 0.9]])
+        with pytest.raises(ErgodicityError, match="irreducible=False"):
+            mk.structured_recover(q, np.ones((3, 3)))
+
     def test_zero_reference_on_live_cell_rejected(self, power_economy):
         g = np.ones((2, 2))
         g[0, 1] = 0.0
@@ -646,6 +674,27 @@ class TestErgodicityCheck:
         block = np.kron(np.eye(2), np.full((2, 2), 0.5))
         rep = mk.ergodicity_check(mk.StochasticMatrix(block))
         assert not rep.irreducible and rep.n_classes == 2
+
+    def test_dense_chain_and_long_cycle(self):
+        dense = mk.StochasticMatrix(np.full((500, 500), 1.0 / 500))
+        assert mk.ergodicity_check(dense) == mk.ErgodicityReport(True, True, 1, 1)
+        cycle = mk.StochasticMatrix(np.roll(np.eye(500), 1, axis=1))
+        assert mk.ergodicity_check(cycle) == mk.ErgodicityReport(True, False, 1, 500)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_patterns())
+    def test_matches_reference_on_random_patterns(self, adj):
+        from scipy.sparse.csgraph import connected_components
+
+        n_classes, _ = connected_components(adj, directed=True, connection="strong")
+        rep = mk._graph_report(adj)
+        assert rep.n_classes == n_classes
+        assert rep.irreducible == (n_classes == 1)
+        assert rep.period == (brute_force_period(adj) if rep.irreducible else 0)
+        assert rep.aperiodic == (rep.period == 1)
+        if adj.any(axis=1).all():  # a transition matrix has no zero row
+            p = mk.StochasticMatrix(adj / adj.sum(axis=1, keepdims=True))
+            assert mk.ergodicity_check(p) == rep
 
 
 class TestEnumeratePositiveEigen:
