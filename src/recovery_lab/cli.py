@@ -136,6 +136,7 @@ def run_forward(args) -> int:
     horizons = _parse_horizons(args.horizons or "1:10:1")
     rn, bond = markov.risk_neutral(prices)
     recovered = markov.recover(source)
+    forward = markov.forward_measures(prices, horizons)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
@@ -143,9 +144,9 @@ def run_forward(args) -> int:
         {
             "bond_prices": bond.tolist(),
             "risk_neutral": rn.entries.tolist(),
+            # popped, so each n x n array is freed once it is a list
             "forward": {
-                str(t): markov.forward_measure(prices, t).entries.tolist()
-                for t in horizons
+                str(t): forward.pop(t).entries.tolist() for t in horizons
             },
         },
     )

@@ -55,6 +55,7 @@ __all__ = [
     "build_economy",
     "risk_neutral",
     "forward_measure",
+    "forward_measures",
     "perron_frobenius",
     "recover",
     "sdf_decomposition",
@@ -379,21 +380,34 @@ def risk_neutral(prices: PricingMatrix) -> tuple[StochasticMatrix, NDArray[np.fl
     return StochasticMatrix(p_bar), q_bar
 
 
-def forward_measure(prices: PricingMatrix, horizon: int) -> StochasticMatrix:
-    """Horizon-t forward measure: rows of Q^t scaled by the t-period bond price.
+def forward_measures(
+    prices: PricingMatrix, horizons: Iterable[int]
+) -> dict[int, StochasticMatrix]:
+    """Horizon-t forward measures: rows of Q^t scaled by the t-period bond price.
 
-    Powers of Q are accumulated with a per-step row rescaling so that long
-    horizons cannot overflow; row rescaling leaves the within-row ratios, and
-    hence the normalized measure, unchanged.
+    Powers of Q are accumulated once over the sorted horizons, with a per-step
+    row rescaling so that long horizons cannot overflow; row rescaling leaves
+    the within-row ratios, and hence the normalized measure, unchanged.
     """
-    if horizon < 1:
+    horizons = sorted(set(horizons))
+    if any(t < 1 for t in horizons):
         raise ValueError("horizon must be a positive integer")
     q = prices.entries
     m = q.copy()
-    for _ in range(horizon - 1):
-        m = m @ q
-        m /= np.max(m, axis=1, keepdims=True)
-    return StochasticMatrix(m / m.sum(axis=1, keepdims=True))
+    power = 1
+    out = {}
+    for t in horizons:
+        for _ in range(t - power):
+            m = m @ q
+            m /= np.max(m, axis=1, keepdims=True)
+        power = t
+        out[t] = StochasticMatrix(m / m.sum(axis=1, keepdims=True))
+    return out
+
+
+def forward_measure(prices: PricingMatrix, horizon: int) -> StochasticMatrix:
+    """Horizon-t forward measure; see ``forward_measures``."""
+    return forward_measures(prices, [horizon])[horizon]
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +478,11 @@ def _require_primitive(
     if not np.all(np.isfinite(derived)):
         raise ValueError(f"{name} contains non-finite entries")
     if not np.array_equal(derived > 0, q > 0):
-        report = _graph_report(derived > 0)
-        if not report.ok:
+        irreducible, period = _irreducible_period(derived > 0)
+        if period != 1:
             raise error(
                 f"{name} is not primitive: "
-                f"irreducible={report.irreducible}, aperiodic={report.aperiodic}"
+                f"irreducible={irreducible}, aperiodic=False"
             )
 
 
@@ -897,20 +911,30 @@ def _bfs_levels(adj: NDArray[np.bool_], source: int) -> NDArray[np.int_]:
     return level
 
 
-def _graph_report(adj: NDArray[np.bool_]) -> ErgodicityReport:
-    """Strong connectivity, period and class count of a directed graph.
+def _irreducible_period(adj: NDArray[np.bool_]) -> tuple[bool, int]:
+    """Strong connectivity of a directed graph and its period (0 if reducible).
 
     The graph is strongly connected when breadth-first searches from state 0
     along the edges and against them both reach every state.  The period is
     the gcd of (level[u] + 1 - level[v]) over edges u -> v, which equals the
-    gcd of all cycle lengths through the root.  Only a reducible graph has its
-    strongly connected classes counted: each is the forward reach intersected
-    with the backward reach of the first state not yet in a class.
+    gcd of all cycle lengths through the root.
     """
     level = _bfs_levels(adj, 0)
-    if np.all(level >= 0) and np.all(_bfs_levels(adj.T, 0) >= 0):
-        rows, cols = np.nonzero(adj)
-        period = int(np.gcd.reduce(level[rows] + 1 - level[cols]))
+    if not (np.all(level >= 0) and np.all(_bfs_levels(adj.T, 0) >= 0)):
+        return False, 0
+    rows, cols = np.nonzero(adj)
+    return True, int(np.gcd.reduce(level[rows] + 1 - level[cols]))
+
+
+def _graph_report(adj: NDArray[np.bool_]) -> ErgodicityReport:
+    """Strong connectivity, period and class count of a directed graph.
+
+    Only a reducible graph has its strongly connected classes counted: each
+    is the forward reach intersected with the backward reach of the first
+    state not yet in a class.
+    """
+    irreducible, period = _irreducible_period(adj)
+    if irreducible:
         return ErgodicityReport(True, period == 1, 1, period)
     unassigned = np.ones(adj.shape[0], dtype=bool)
     n_classes = 0

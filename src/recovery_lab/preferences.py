@@ -111,49 +111,49 @@ def _recursion_rhs(
     v: NDArray[np.float64],
     spec: RecursiveUtilitySpec,
     p: NDArray[np.float64],
-) -> NDArray[np.float64]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """F(v), to a few ulps of max |v|, and its Jacobian beta P_ij v*_j / (P v*)_i.
+    Each row is shifted by its largest exponent on its support, so no exponential
+    over- or underflows, and log1p keeps P v* - 1 accurate near gamma = 1."""
     beta = np.exp(-spec.delta)
     base = (1.0 - beta) * np.log(spec.c) + beta * spec.g_c
     if spec.gamma == 1.0:
-        return base + beta * (p @ v)
+        return base + beta * (p @ v), beta * p
     w = (1.0 - spec.gamma) * v
-    m = np.max(w)
-    # log-sum-exp guard: (1-gamma) v can be large in magnitude for big gamma
-    risk_adj = np.log(p @ np.exp(w - m)) + m
-    return base + beta / (1.0 - spec.gamma) * risk_adj
+    top = np.max(np.where(p > 0, w, -np.inf), axis=1)
+    a = np.minimum(w - top[:, None], 0.0)
+    tilt = p * np.exp(a)
+    pv = tilt.sum(axis=1)
+    s = np.sum(p * np.expm1(a), axis=1)
+    log_pv = np.where(s > -0.5, np.log1p(np.maximum(s, -0.5)), np.log(pv))
+    return base + beta * (top + log_pv) / (1.0 - spec.gamma), beta * tilt / pv[:, None]
 
 
 def solve_continuation_value(
     spec: RecursiveUtilitySpec,
     transition: StochasticMatrix,
-    tol: float = 1e-13,
-    max_iter: int = 10_000_000,
+    max_iter: int = 50,
 ) -> ValueFunction:
-    """Solve the continuation-value fixed point.
+    """Detrended continuation values v = F(v); one linear solve at gamma = 1.
 
-    gamma = 1 is handled as an exact linear system (the risk-adjusted term
-    degenerates to the conditional mean); otherwise plain fixed-point
-    iteration, which contracts with modulus e^{-delta}.
-    """
+    Otherwise Newton steps (I - dF/dv) dv = v - F(v) from v = log c stop once
+    the sup-norm residual is at most 4 eps max(1, |v|), the round-off floor of
+    F; more than ``max_iter`` steps raise ConvergenceError."""
     p = transition.entries
-    beta = np.exp(-spec.delta)
     if spec.gamma == 1.0:
-        rhs = (1.0 - beta) * np.log(spec.c) + beta * spec.g_c
-        v = np.linalg.solve(np.eye(transition.n) - beta * p, rhs)
+        base, jac = _recursion_rhs(np.zeros(transition.n), spec, p)
+        v = np.linalg.solve(np.eye(transition.n) - jac, base)
     else:
-        v = np.log(spec.c).astype(float)
+        v = np.log(spec.c)
         for _ in range(max_iter):
-            v_next = _recursion_rhs(v, spec, p)
-            if np.max(np.abs(v_next - v)) <= tol:
-                v = v_next
+            rhs, jac = _recursion_rhs(v, spec, p)
+            if np.max(np.abs(v - rhs)) <= 4.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(v))):
                 break
-            v = v_next
+            v = v - np.linalg.solve(np.eye(transition.n) - jac, v - rhs)
         else:
-            raise ConvergenceError(
-                "continuation-value iteration did not converge; "
-                "delta may be too close to zero"
-            )
-    residual = float(np.max(np.abs(v - _recursion_rhs(v, spec, p))))
+            gap = np.max(np.abs(v - _recursion_rhs(v, spec, p)[0]))
+            raise ConvergenceError(f"{max_iter} Newton steps left residual {gap:.3e}")
+    residual = float(np.max(np.abs(v - _recursion_rhs(v, spec, p)[0])))
     v_star = np.exp((1.0 - spec.gamma) * v)
     return ValueFunction(v=v, v_star=v_star, residual=residual)
 

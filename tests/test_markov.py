@@ -172,6 +172,19 @@ class TestRiskNeutralAndForward:
         fw = mk.forward_measure(power_economy.prices, 5000)
         assert np.all(np.isfinite(fw.entries))
 
+    def test_one_product_chain_matches_per_horizon_powers(self):
+        prices = random_economy(np.random.default_rng(12), n=6).prices
+        q = prices.entries
+        walked = mk.forward_measures(prices, [7, 1, 10, 3, 7])
+        assert sorted(walked) == [1, 3, 7, 10]
+        for t, measure in walked.items():
+            m = q.copy()
+            for _ in range(t - 1):
+                m = m @ q
+                m /= np.max(m, axis=1, keepdims=True)
+            assert np.array_equal(measure.entries, m / m.sum(axis=1, keepdims=True))
+            assert np.array_equal(measure.entries, mk.forward_measure(prices, t).entries)
+
 
 class TestPerronFrobenius:
     def test_power_utility_closed_form(self, power_economy):
@@ -680,6 +693,16 @@ class TestErgodicityCheck:
         assert mk.ergodicity_check(dense) == mk.ErgodicityReport(True, True, 1, 1)
         cycle = mk.StochasticMatrix(np.roll(np.eye(500), 1, axis=1))
         assert mk.ergodicity_check(cycle) == mk.ErgodicityReport(True, False, 1, 500)
+
+    def test_primitivity_guard_counts_no_classes(self, monkeypatch):
+        # 500-state path into an absorbing state, derived from a dense Q: the
+        # guard reads only whether the graph is primitive
+        path = np.eye(500, k=1)
+        path[-1, -1] = 1.0
+        calls = count_calls(monkeypatch, mk, "_bfs_levels")
+        with pytest.raises(NonPrimitiveMatrixError, match="irreducible=False"):
+            mk._require_primitive(path, np.ones((500, 500)), "derived matrix")
+        assert len(calls) <= 2
 
     @settings(max_examples=300, deadline=None)
     @given(graph_patterns())

@@ -2,10 +2,55 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_transition
 from recovery_lab import markov as mk
 from recovery_lab import preferences as pref
 from recovery_lab.exceptions import ConvergenceError
+
+EPS = np.finfo(float).eps
+
+
+def round_off_floor(v):
+    """Stopping floor of the Newton solve: 4 eps max(1, |v|) in the sup norm."""
+    return 4.0 * EPS * max(1.0, np.max(np.abs(v)))
+
+
+def long_double_rhs(v, spec, p):
+    """Right side of the recursion at v and its Jacobian, in np.longdouble.
+
+    The rows of P are renormalized in long double, and log1p(P (v* - 1))
+    stands for log(P v*), so that gamma near one costs no digits.
+    """
+    ld = np.longdouble
+    v, p, gamma = v.astype(ld), p.astype(ld), ld(spec.gamma)
+    p /= p.sum(axis=1, keepdims=True)
+    beta = np.exp(-ld(spec.delta))
+    w = (1 - gamma) * v
+    top = np.max(w)
+    rhs = (1 - beta) * np.log(spec.c.astype(ld)) + beta * ld(spec.g_c)
+    rhs += beta * (np.log1p(p @ np.expm1(w - top)) + top) / (1 - gamma)
+    tilt = p * np.exp(w - top)[None, :]
+    return rhs, beta * tilt / tilt.sum(axis=1, keepdims=True)
+
+
+def long_double_value(spec, p):
+    """Continuation value of a two-state economy by Newton in np.longdouble.
+
+    np.linalg.solve rejects long doubles, so the 2 x 2 step is solved by hand.
+    """
+    v = np.log(spec.c.astype(np.longdouble))
+    for _ in range(40):
+        rhs, jac = long_double_rhs(v, spec, p)
+        gap = v - rhs
+        a = np.eye(2, dtype=np.longdouble) - jac
+        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        v = v - np.array(
+            [a[1, 1] * gap[0] - a[0, 1] * gap[1], a[0, 0] * gap[1] - a[1, 0] * gap[0]]
+        ) / det
+    return v
 
 
 class TestPowerSdf:
@@ -84,10 +129,93 @@ class TestContinuationValue:
         spec = pref.RecursiveUtilitySpec(
             delta=1e-6, gamma=10.0, g_c=0.0, c=np.array([1.0, 2.0])
         )
-        with pytest.raises(ConvergenceError):
-            pref.solve_continuation_value(
-                spec, two_state_transition, max_iter=100
-            )
+        with pytest.raises(ConvergenceError, match="residual"):
+            pref.solve_continuation_value(spec, two_state_transition, max_iter=1)
+
+    def test_tiny_delta_converges_at_round_off_floor(self, two_state_transition):
+        spec = pref.RecursiveUtilitySpec(
+            delta=1e-6, gamma=10.0, g_c=0.0, c=np.array([1.0, 2.0])
+        )
+        vf = pref.solve_continuation_value(spec, two_state_transition)
+        assert vf.residual <= round_off_floor(vf.v)
+
+    def test_monthly_delta_matches_long_double_reference(self):
+        # the fixed-point iteration's absolute stop left an error of 5.0e-10 here
+        rng = np.random.default_rng(7)
+        p = random_transition(rng, 2)
+        spec = pref.RecursiveUtilitySpec(
+            delta=2e-4, gamma=10.0, g_c=0.001, c=rng.uniform(0.5, 2.0, size=2)
+        )
+        vf = pref.solve_continuation_value(spec, p)
+        reference = long_double_value(spec, p.entries)
+        assert np.max(np.abs(vf.v - reference.astype(float))) <= 5e-11
+
+    @pytest.mark.parametrize("gamma", [1.0 - 1e-9, 1.0 + 1e-6, 1.01, 0.9])
+    def test_gamma_near_one_reaches_round_off_floor(self, gamma):
+        # log(P v*) loses the digits of P v* - 1 when gamma is near one
+        rng = np.random.default_rng(3)
+        p = random_transition(rng, 5)
+        spec = pref.RecursiveUtilitySpec(
+            delta=0.02, gamma=gamma, g_c=0.001, c=rng.uniform(0.5, 2.0, size=5)
+        )
+        vf = pref.solve_continuation_value(spec, p)
+        assert vf.residual <= round_off_floor(vf.v)
+        # the residual in extended precision is at the floor as well
+        exact_gap = vf.v - long_double_rhs(vf.v, spec, p.entries)[0]
+        assert np.max(np.abs(exact_gap)) <= round_off_floor(vf.v)
+
+    def test_sparse_row_at_large_gamma(self):
+        # state 1 is absorbing and exp[(1 - gamma)(v_1 - v_0)] underflows: each
+        # row needs its own log-sum-exp shift
+        delta, g_c, c = 0.05, 0.001, np.array([1.0, 30.0])
+        p = mk.StochasticMatrix([[0.5, 0.5], [0.0, 1.0]])
+        spec = pref.RecursiveUtilitySpec(delta=delta, gamma=250.0, g_c=g_c, c=c)
+        vf = pref.solve_continuation_value(spec, p)
+        assert vf.residual <= round_off_floor(vf.v)
+        beta = np.exp(-delta)
+        assert vf.v[1] == pytest.approx(np.log(30.0) + beta * g_c / (1.0 - beta), abs=1e-13)
+
+    def test_jacobian_matches_finite_differences(self):
+        rng = np.random.default_rng(11)
+        p = random_transition(rng, 4).entries
+        spec = pref.RecursiveUtilitySpec(
+            delta=0.1, gamma=10.0, g_c=0.0, c=rng.uniform(0.5, 2.0, 4)
+        )
+        v = rng.normal(0.0, 0.3, size=4)
+        _, jac = pref._recursion_rhs(v, spec, p)
+        h = 1e-6
+        for j in range(4):
+            step = h * (np.arange(4) == j)
+            up, _ = pref._recursion_rhs(v + step, spec, p)
+            down, _ = pref._recursion_rhs(v - step, spec, p)
+            np.testing.assert_allclose((up - down) / (2 * h), jac[:, j], atol=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.5, 50.0).filter(lambda g: g != 1.0),
+        st.floats(0.01, 0.5),
+    )
+    def test_newton_matches_plain_fixed_point(self, n, seed, gamma, delta):
+        rng = np.random.default_rng(seed)
+        p = random_transition(rng, n)
+        spec = pref.RecursiveUtilitySpec(
+            delta=delta, gamma=gamma, g_c=0.001, c=rng.uniform(0.5, 2.0, size=n)
+        )
+        vf = pref.solve_continuation_value(spec, p)
+        floor = round_off_floor(vf.v)
+        assert vf.residual <= floor
+        v = np.log(spec.c)
+        for _ in range(100_000):
+            v_next = pref._recursion_rhs(v, spec, p.entries)[0]
+            if np.max(np.abs(v_next - v)) <= 1e-13:
+                break
+            v = v_next
+        else:
+            pytest.fail("plain fixed-point loop did not converge")
+        beta = np.exp(-delta)
+        assert np.max(np.abs(vf.v - v_next)) <= (1e-13 * beta + floor) / (1.0 - beta)
 
     def test_delta_to_zero_flattens_values(self, two_state_transition):
         spreads = []
