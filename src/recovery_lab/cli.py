@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -55,10 +56,59 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     )
 
 
+# a numpy array in a JSON payload becomes this string plus its index until written
+_ARRAY_MARK = "\x00array"
+_ARRAY_SLOT = re.compile(r'"\\u0000array(\d+)"')
+
+
 def _write_json(path: Path, payload) -> None:
+    """Write ``json.dump(payload, indent=2, sort_keys=True)`` and a newline.
+
+    numpy arrays in the payload are encoded one row at a time, byte for byte
+    as their nested lists would be, so a large matrix never exists as Python
+    floats all at once.
+    """
+    arrays = []
+
+    def hide(node):
+        if isinstance(node, np.ndarray) and node.ndim:
+            arrays.append(node)
+            return f"{_ARRAY_MARK}{len(arrays) - 1}"
+        if isinstance(node, dict):
+            return {key: hide(value) for key, value in node.items()}
+        if isinstance(node, (list, tuple)):
+            return [hide(value) for value in node]
+        return node
+
+    text = json.dumps(hide(payload), indent=2, sort_keys=True)
+    pieces = _ARRAY_SLOT.split(text)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(pieces[0])
+        for k in range(1, len(pieces), 2):
+            line = pieces[k - 1].rsplit("\n", 1)[-1]
+            depth = (len(line) - len(line.lstrip(" "))) // 2
+            for chunk in _array_chunks(arrays[int(pieces[k])], depth):
+                fh.write(chunk)
+            fh.write(pieces[k + 1])
         fh.write("\n")
+
+
+def _array_chunks(a: np.ndarray, depth: int):
+    """``json.dumps(a.tolist(), indent=2)`` nested ``depth`` levels deep, one row at a time."""
+    if a.shape[0] == 0:
+        yield "[]"
+        return
+    pad = "\n" + "  " * (depth + 1)
+    if a.ndim > 1:
+        yield "["
+        for k, row in enumerate(a):
+            yield ("," if k else "") + pad
+            yield from _array_chunks(row, depth + 1)
+    else:
+        items = a.tolist()
+        fast = a.dtype.kind == "f" and bool(np.all(np.isfinite(a)))
+        yield "[" + pad + ("," + pad).join(map(float.__repr__ if fast else json.dumps, items))
+    yield "\n" + "  " * depth + "]"
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -142,12 +192,9 @@ def run_forward(args) -> int:
     _write_json(
         out / "forward_measures.json",
         {
-            "bond_prices": bond.tolist(),
-            "risk_neutral": rn.entries.tolist(),
-            # popped, so each n x n array is freed once it is a list
-            "forward": {
-                str(t): forward.pop(t).entries.tolist() for t in horizons
-            },
+            "bond_prices": bond,
+            "risk_neutral": rn.entries,
+            "forward": {str(t): forward[t].entries for t in horizons},
         },
     )
     taus = [2, 5, 10, 25, 50, 100, 200]
@@ -198,9 +245,7 @@ def run_lrr(args) -> int:
     else:
         params = lrr_mod.load_default_params()
     overrides = _parse_overrides(args.override)
-    # CLI default step: 1/24 month keeps the default run interactive; the
-    # library default (1/120) remains available via --override dt=...
-    sim_keys = {"n_paths": 10_000, "burn_in": 600.0, "dt": 1.0 / 24.0, "bins": 100}
+    sim_keys = {"n_paths": 10_000, "burn_in": 600.0, "dt": lrr_mod.DT_DEFAULT, "bins": 100}
     sim = {k: type(v)(overrides.pop(k, v)) for k, v in sim_keys.items()}
     if overrides:
         params = lrr_mod.apply_overrides(params, overrides)
@@ -298,6 +343,7 @@ def run_lrr(args) -> int:
             "density_means": {
                 name: densities[name].mean.tolist() for name in densities
             },
+            "density_n_nan": {name: densities[name].n_nan for name in densities},
         },
     )
     return 0

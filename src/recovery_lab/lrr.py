@@ -39,6 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from .sqroot import square_root_step
 from .exceptions import (
     BlowUpError,
     DegenerateSelectionError,
@@ -85,7 +86,7 @@ __all__ = [
     "params_to_dict",
 ]
 
-DT_DEFAULT = 1.0 / 120.0  # one month split into 120 Euler steps
+DT_DEFAULT = 1.0  # one month: the natural step of the exact square-root transition
 MONTHS_PER_YEAR = 12.0
 
 
@@ -658,24 +659,52 @@ def affine_expectation(
 
 
 def _corr_sqrt(rows: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Square root of the Gram matrix of vol rows (rank-deficiency safe).
+    """A square root of the Gram matrix of the rows, with its null columns dropped.
 
-    Only the joint law of (sigma_1.dW, sigma_2.dW, alpha.dW, ...) matters, so
-    shocks are drawn in that lower-dimensional correlated space.
+    Only the joint law of the row shocks matters, so they are drawn from as
+    many standard normals as the rows have independent directions.
     """
-    gram = rows @ rows.T
-    w, v = np.linalg.eigh(gram)
-    w = np.clip(w, 0.0, None)
-    return v * np.sqrt(w)[None, :]
+    w, v = np.linalg.eigh(rows @ rows.T)
+    keep = w > rows.shape[0] * np.finfo(float).eps * w.max(initial=0.0)
+    return v[:, keep] * np.sqrt(w[keep])[None, :]
 
 
 _CHUNK_PATHS = 50_000  # keeps the working set cache-resident
 
 
+def _shock_loads(d: StateDynamics, functionals: Sequence[AffineFunctional], h: float):
+    """(coef, loads, w1): given the martingale increment y of X2 over a step
+    and its integral I, the step's shocks are coef * y + sqrt(I) loads @ z,
+    z standard normal.
+
+    Rows: the exponentially weighted integral of sigma_1.dW that the exact X1
+    propagator needs; then, only with functionals, the plain integrals of
+    sigma_1.dW and of each functional's alpha.dW.  Each plain row splits into
+    its part along sigma_2, fixed by y, and an independent Gaussian part.  The
+    weighted row is w1 times the plain one plus an independent residual of
+    variance (w2 - w1^2) |sigma_1|^2 I (its regression on the plain integral),
+    where w1 = expm1(mu_11 h) / (mu_11 h) and w2 = expm1(2 mu_11 h) / (2 mu_11 h).
+    """
+    s22 = float(d.sigma_2 @ d.sigma_2)
+    along = d.sigma_2 / s22 if s22 > 0.0 else np.zeros_like(d.sigma_2)
+    plain = np.vstack(
+        [d.sigma_1] + ([d.sigma_1] if functionals else []) + [f.alpha for f in functionals]
+    )
+    coef = plain @ along
+    perp = plain - coef[:, None] * d.sigma_2[None, :]
+    k = d.mu_11 * h  # negative
+    w1 = float(np.expm1(k) / k)
+    resid = np.sqrt(max(float(np.expm1(2.0 * k) / (2.0 * k)) - w1 * w1, 0.0))
+    coef[0] *= w1
+    perp[0] *= w1
+    extra = np.zeros((plain.shape[0], 1))
+    extra[0] = resid * np.linalg.norm(d.sigma_1)
+    return coef, _corr_sqrt(np.hstack([perp, extra])), w1
+
+
 def _simulate_chunk(
     dynamics: StateDynamics,
     functionals: Sequence[AffineFunctional],
-    loads: NDArray[np.float64],
     n_steps: int,
     dt: float,
     n_paths: int,
@@ -685,35 +714,32 @@ def _simulate_chunk(
 ):
     d = dynamics
     i1, i2 = d.iota
-    x1 = np.full(n_paths, start[0])
+    c1 = np.full(n_paths, start[0] - i1)
     x2 = np.full(n_paths, start[1])
     logs = [np.zeros(n_paths) for _ in functionals]
     snapshots: dict[float, list[NDArray[np.float64]]] = {}
-    k = loads.shape[1]
-    z = np.empty((k, n_paths))
+    coef, loads, w1 = _shock_loads(d, functionals, dt)
+    decay = np.exp(d.mu_11 * dt)  # the X1 propagator
+    z = np.empty((loads.shape[1], n_paths))
     shocks = np.empty((loads.shape[0], n_paths))
-    root = np.empty(n_paths)
-    scratch = np.empty(n_paths)
+    s22 = float(d.sigma_2 @ d.sigma_2)
     for step in range(1, n_steps + 1):
+        x2, integral, y2 = square_root_step(x2, -d.mu_22 * i2, -d.mu_22, s22, dt, rng)
+        j2 = integral - i2 * dt  # integral of the centred volatility state
         rng.standard_normal(out=z)
-        np.matmul(loads, z, out=shocks)  # rows: sigma_1.dW, sigma_2.dW, functionals
-        np.maximum(x2, 0.0, out=root)
-        c2 = root - i2  # clipped volatility state, centered
-        np.sqrt(root, out=root)
-        c1 = x1 - i1
-        for idx, f in enumerate(functionals):
-            np.multiply(root, shocks[2 + idx], out=scratch)
-            logs[idx] += scratch
-            logs[idx] += (f.b0 + f.b1 * c1 + f.b2 * c2) * dt
-        np.multiply(root, shocks[0], out=scratch)
-        x1 += scratch
-        x1 += (d.mu_11 * c1 + d.mu_12 * c2) * dt
-        np.multiply(root, shocks[1], out=scratch)
-        x2 += scratch
-        x2 += d.mu_22 * dt * c2
+        np.matmul(loads, z, out=shocks)
+        shocks *= np.sqrt(integral)
+        shocks += coef[:, None] * y2
+        c1_new = decay * c1 + (d.mu_12 * w1) * j2 + shocks[0]
+        if functionals:
+            # integral of the centred X1 from its increment (the X1 equation)
+            int_c1 = (c1_new - c1 - d.mu_12 * j2 - shocks[1]) / d.mu_11
+            for idx, f in enumerate(functionals):
+                logs[idx] += f.b0 * dt + f.b1 * int_c1 + f.b2 * j2 + shocks[2 + idx]
+        c1 = c1_new
         if step in record_steps:
             snapshots[record_steps[step]] = [lg.copy() for lg in logs]
-    return x1, x2, logs, snapshots
+    return c1 + i1, x2, logs, snapshots
 
 
 def _simulate_core(
@@ -726,7 +752,13 @@ def _simulate_core(
     x0: Optional[NDArray[np.float64]],
     record_times: Sequence[float] = (),
 ):
-    """Full-truncation Euler ensemble of (X1, X2) plus log functionals.
+    """Ensemble of (X1, X2) plus log functionals on a grid of step dt.
+
+    X2 takes exact square-root transitions (``sqroot.square_root_step``).  X1
+    advances by the Ornstein-Uhlenbeck propagator e^{mu_11 dt} and each log
+    functional by its increment, both conditionally Gaussian given the X2
+    endpoints, with the trapezoid rule for the integral of X2 (see
+    ``_shock_loads``).  X2 never goes negative, so no path is truncated.
 
     Paths are processed in fixed-size chunks with deterministic per-chunk
     sub-seeds, so results depend only on the seed, never on scheduling or
@@ -735,9 +767,10 @@ def _simulate_core(
     """
     d = dynamics
     start = d.iota if x0 is None else np.asarray(x0, dtype=float)
+    for t in (horizon, *record_times):
+        if abs(round(t / dt) * dt - t) > 1e-9 * max(t, dt):
+            raise ValueError(f"horizon {t} is not a multiple of the step dt = {dt}")
     n_steps = int(round(horizon / dt))
-    rows = np.vstack([d.sigma_1, d.sigma_2] + [f.alpha for f in functionals])
-    loads = _corr_sqrt(rows) * np.sqrt(dt)
     record_steps = {int(round(t / dt)): t for t in record_times}
 
     sizes = [_CHUNK_PATHS] * (n_paths // _CHUNK_PATHS)
@@ -748,7 +781,7 @@ def _simulate_core(
         rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
         parts.append(
             _simulate_chunk(
-                dynamics, functionals, loads, n_steps, dt, size, rng, start, record_steps
+                dynamics, functionals, n_steps, dt, size, rng, start, record_steps
             )
         )
     x1 = np.concatenate([p[0] for p in parts])

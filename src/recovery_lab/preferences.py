@@ -89,12 +89,18 @@ class RecursiveUtilitySpec:
 
 @dataclass(frozen=True)
 class ValueFunction:
-    """Detrended continuation values v, v* = exp[(1-gamma) v], and the sup-norm
-    residual of the fixed-point equation at v."""
+    """Detrended continuation values v, the exponent log v* = (1-gamma) v, and
+    the sup-norm residual of the fixed-point equation at v."""
 
     v: NDArray[np.float64]
-    v_star: NDArray[np.float64]
+    log_v_star: NDArray[np.float64]
     residual: float
+
+    @property
+    def v_star(self) -> NDArray[np.float64]:
+        """v* = exp[(1-gamma) v]; it over- or underflows once |(1-gamma) v|
+        passes about 709, so the discount factor reads ``log_v_star``."""
+        return np.exp(self.log_v_star)
 
 
 def power_sdf(spec: PowerUtilitySpec) -> SdfMatrix:
@@ -154,8 +160,7 @@ def solve_continuation_value(
             gap = np.max(np.abs(v - _recursion_rhs(v, spec, p)[0]))
             raise ConvergenceError(f"{max_iter} Newton steps left residual {gap:.3e}")
     residual = float(np.max(np.abs(v - _recursion_rhs(v, spec, p)[0])))
-    v_star = np.exp((1.0 - spec.gamma) * v)
-    return ValueFunction(v=v, v_star=v_star, residual=residual)
+    return ValueFunction(v=v, log_v_star=(1.0 - spec.gamma) * v, residual=residual)
 
 
 def recursive_sdf(
@@ -168,12 +173,10 @@ def recursive_sdf(
     s_ij = exp(-(delta + g_c)) (c_i / c_j) (v*_j / (P_i v*)).
     """
     c = spec.c
-    p = transition.entries
-    pv = p @ value.v_star
     s = (
         np.exp(-(spec.delta + spec.g_c))
         * (c[:, None] / c[None, :])
-        * (value.v_star[None, :] / pv[:, None])
+        * _martingale_ratio(transition.entries, value.log_v_star)
     )
     return SdfMatrix(s)
 
@@ -186,8 +189,17 @@ def recursive_martingale(
     Each row has conditional expectation one under the transition matrix by
     construction; the increments are identically one iff v* is constant.
     """
-    pv = transition.entries @ value.v_star
-    return value.v_star[None, :] / pv[:, None]
+    return _martingale_ratio(transition.entries, value.log_v_star)
+
+
+def _martingale_ratio(p: NDArray[np.float64], w: NDArray[np.float64]) -> NDArray[np.float64]:
+    """v*_j / (P_i v*) for v* = exp(w), computed from w: row i is shifted by the
+    largest w on its support, so it stays finite where v* itself would over-
+    or underflow."""
+    top = np.max(np.where(p > 0, w, -np.inf), axis=1)
+    a = w[None, :] - top[:, None]
+    pv = np.sum(p * np.exp(np.minimum(a, 0.0)), axis=1)
+    return np.exp(a) / pv[:, None]
 
 
 def spec_from_dict(payload: dict):

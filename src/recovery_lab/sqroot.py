@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .exceptions import DegenerateSelectionError
 
@@ -31,6 +32,7 @@ __all__ = [
     "eigen_candidates",
     "select_ergodic",
     "simulate",
+    "square_root_step",
     "model_from_dict",
     "model_to_dict",
     "results_to_csv",
@@ -131,7 +133,39 @@ def select_ergodic(candidates: list[EigenCandidate]) -> EigenCandidate:
     return ergodic[0]
 
 
-def _euler_paths(
+def _phi1(z: float) -> float:
+    """expm1(z) / z, continued by 1 at z = 0."""
+    return float(np.expm1(z) / z) if z != 0.0 else 1.0
+
+
+def square_root_step(
+    x: NDArray[np.float64],
+    a: float,
+    kappa: float,
+    s2: float,
+    h: float,
+    rng: np.random.Generator,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """One exact transition of dX = (a - kappa X) dt + sqrt(X) dM, d<M> = s2 X dt.
+
+    X_h given X_0 = x is c times a noncentral chi-square with 4 a / s2 degrees
+    of freedom and noncentrality x e^{-kappa h} / c, c = s2 (1 - e^{-kappa h})
+    / (4 kappa) (expm1 keeps c accurate as kappa h -> 0 and for kappa < 0).
+    X stays nonnegative.  Returns X_h, the trapezoid integral of X over the
+    step, and the martingale increment M_h - M_0 = X_h - x - a h + kappa
+    (integral) that the endpoints and the integral imply.  With s2 = 0 the
+    step is the deterministic mean.
+    """
+    if s2 > 0.0:
+        c = 0.25 * s2 * h * _phi1(-kappa * h)
+        x_new = c * rng.noncentral_chisquare(4.0 * a / s2, x * (np.exp(-kappa * h) / c))
+    else:
+        x_new = x * np.exp(-kappa * h) + a * h * _phi1(-kappa * h)
+    integral = 0.5 * h * (x + x_new)
+    return x_new, integral, x_new - x - a * h + kappa * integral
+
+
+def _paths(
     model: SquareRootModel,
     kappa_eff: float,
     horizon: float,
@@ -141,27 +175,41 @@ def _euler_paths(
     x0: float,
     accumulate_sdf: bool,
 ):
-    """Full-truncation Euler ensemble; negative states are clipped only inside
-    the drift/diffusion/integrand evaluations, never in the state itself.
+    """Terminal X of an ensemble started at x0, plus log S_t under the physical
+    measure when ``accumulate_sdf``.
 
     The constant drift term stays kappa * mu_bar under every candidate
-    measure; only the linear mean-reversion coefficient changes.
+    measure; only the linear mean-reversion coefficient changes.  log S is
+    deterministic given the endpoints and the integral I of X:
+
+        log S_t = beta_bar t - alpha_bar^2 I / 2
+                  + (alpha_bar / sigma_bar) (X_t - x0 - kappa mu_bar t + kappa I),
+
+    so only the integral needs the dt grid; without it the exact transition
+    spans the horizon in one step.
     """
     n_steps = int(round(horizon / dt))
-    x = np.full(n_paths, x0)
-    log_s = np.zeros(n_paths) if accumulate_sdf else None
-    const = model.kappa * model.mu_bar
-    sqrt_dt = np.sqrt(dt)
+    t_eff = n_steps * dt
+    a = model.kappa * model.mu_bar
+    x = np.full(n_paths, float(x0))
+    if not accumulate_sdf:
+        n_steps, dt = min(n_steps, 1), t_eff
+    integral = np.zeros(n_paths)
     for _ in range(n_steps):
-        x_pos = np.maximum(x, 0.0)
-        root = np.sqrt(x_pos)
-        dw = sqrt_dt * rng.standard_normal(n_paths)
-        if accumulate_sdf:
-            log_s += (
-                model.beta_bar - 0.5 * model.alpha_bar**2 * x_pos
-            ) * dt + model.alpha_bar * root * dw
-        x = x + (const - kappa_eff * x_pos) * dt + model.sigma_bar * root * dw
-    return x, log_s, n_steps * dt
+        x, step_integral, _ = square_root_step(
+            x, a, kappa_eff, model.sigma_bar**2, dt, rng
+        )
+        integral += step_integral
+    log_s = None
+    if accumulate_sdf:
+        log_s = (
+            model.beta_bar * t_eff
+            - 0.5 * model.alpha_bar**2 * integral
+            + model.alpha_bar
+            / model.sigma_bar
+            * (x - x0 - a * t_eff + kappa_eff * integral)
+        )
+    return x, log_s, t_eff
 
 
 def simulate(
@@ -191,19 +239,19 @@ def simulate(
     rng = np.random.default_rng(seed)
     if isinstance(measure, EigenCandidate):
         kappa_eff = measure.kappa_new
-        x, _, _ = _euler_paths(
+        x, _, _ = _paths(
             model, kappa_eff, horizon, dt, n_paths, rng, x_start, False
         )
         ok = np.isfinite(x)
         # companion physical ensemble for the martingale expectation
         rng_phys = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        xp, log_s, t_eff = _euler_paths(
+        xp, log_s, t_eff = _paths(
             model, model.kappa, horizon, dt, n_paths, rng_phys, x_start, True
         )
         mart = np.exp(
             -measure.eta * t_eff
             + log_s
-            + measure.upsilon * (np.maximum(xp, 0.0) - x_start)
+            + measure.upsilon * (xp - x_start)
         )
         ok_m = np.isfinite(mart)
         m_mean = float(np.mean(mart[ok_m]))
@@ -217,7 +265,7 @@ def simulate(
         )
     if measure != "physical":
         raise ValueError("measure must be 'physical' or an EigenCandidate")
-    x, log_s, _ = _euler_paths(
+    x, log_s, _ = _paths(
         model, model.kappa, horizon, dt, n_paths, rng, x_start, True
     )
     s = np.exp(log_s)

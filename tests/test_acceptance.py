@@ -19,7 +19,7 @@ from recovery_lab import sqroot as sq
 
 from conftest import random_economy, random_power_economy, random_transition
 
-MC_DT = 1.0 / 12.0  # Euler step of the acceptance simulations; the criterion-8
+MC_DT = 1.0  # step of the acceptance simulations, one month; the criterion-8
 # gate certifies this step against the exact exponent ODEs
 
 

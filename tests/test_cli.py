@@ -50,6 +50,35 @@ def test_package_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_write_json_matches_json_dump_of_lists(tmp_path):
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((6, 4))
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = -0.0, 5e-324, 1e308, np.nan
+    m[4, 0], m[5, 1] = np.inf, -np.inf
+    payload = {
+        "matrix": m,
+        "finite": rng.random((3, 5)),
+        "nested": [m[0], {"k": m[2:4], "v": 1.5}],
+        "ints": np.arange(3),
+        "empty": np.zeros(0),
+        "empty_rows": np.zeros((2, 0)),
+        "text": "x",
+        "none": None,
+    }
+    as_lists = {
+        **payload,
+        "matrix": m.tolist(),
+        "finite": payload["finite"].tolist(),
+        "nested": [m[0].tolist(), {"k": m[2:4].tolist(), "v": 1.5}],
+        "ints": [0, 1, 2],
+        "empty": [],
+        "empty_rows": [[], []],
+    }
+    cli._write_json(tmp_path / "t.json", payload)
+    expected = json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "t.json").read_bytes() == expected.encode()
+
+
 def test_write_csv_cells_match_python_format(tmp_path):
     floats = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0])
     ints = np.arange(floats.size) * 10**6 - 3
@@ -152,6 +181,8 @@ class TestLrr:
         summary = json.loads((out / "lrr_summary.json").read_text())
         assert summary["pf"]["eta_hat"] < 0
         assert summary["changed_measure"]["mu_22"] < 0
+        # X2 >= 0 by construction of its transitions, so no path is dropped
+        assert summary["density_n_nan"] == {"p": 0, "p_hat": 0, "risk_neutral": 0}
 
     def test_gamma_one_still_has_martingale_component(self, tmp_path):
         # consumption carries a permanent component, so even log utility

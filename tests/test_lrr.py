@@ -7,8 +7,12 @@ martingale has unit expectation at every horizon), a deterministic submodel
 with a hand-integrated linear solution, and the Monte Carlo simulator.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recovery_lab import lrr
 from recovery_lab.exceptions import (
@@ -16,6 +20,8 @@ from recovery_lab.exceptions import (
     ModelValidityError,
     ValueFunctionExistenceError,
 )
+
+MC_DT = 1.0  # one month, the natural step of the exact square-root transitions
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +109,7 @@ class TestSdfCoefficients:
     def test_martingale_expectation_one_by_simulation(self, params, value):
         hstar = lrr.h_star_functional(params, value)
         moments = lrr.simulate_functional(
-            hstar, params.dynamics(), horizons=[12.0], dt=1 / 12, n_paths=100_000, seed=2
+            hstar, params.dynamics(), horizons=[12.0], dt=MC_DT, n_paths=100_000, seed=2
         )
         assert abs(moments[0].mean - 1.0) <= 3.0 * moments[0].se
 
@@ -174,7 +180,7 @@ class TestChangedMeasure:
 
     def test_simulated_volatility_mean_under_new_measure(self, params, cm):
         x1, x2 = lrr.simulate_states(
-            cm.dynamics(params), horizon=600.0, dt=1 / 12, n_paths=50_000, seed=3
+            cm.dynamics(params), horizon=600.0, dt=MC_DT, n_paths=50_000, seed=3
         )
         se = np.std(x2, ddof=1) / np.sqrt(len(x2))
         assert abs(np.mean(x2) - cm.iota_hat[1]) <= 3.0 * se
@@ -240,7 +246,7 @@ class TestAffineExpectation:
         # the full million-path gate runs in the acceptance suite
         ode = lrr.solve_affine_ode(sdf, params.dynamics(), 12.0)
         moments = lrr.simulate_functional(
-            sdf, params.dynamics(), horizons=[12.0], dt=1 / 12, n_paths=100_000, seed=5
+            sdf, params.dynamics(), horizons=[12.0], dt=MC_DT, n_paths=100_000, seed=5
         )
         assert abs(moments[0].mean - ode.expectation(12.0, params.iota)) <= 3.0 * moments[0].se
 
@@ -282,7 +288,7 @@ class TestMeasureTransforms:
 
     def test_recovered_sdf_decomposition_identity_pathwise(self, params, sdf, pf):
         # log S - [eta t - e . (X_t - X_0) + log H] vanishes along paths up to
-        # the shared discretization, here checked through one Euler ensemble:
+        # the shared discretization, here checked through one simulated ensemble:
         # accumulate both sides with the same shocks via two functionals
         dyn = params.dynamics()
         h_hat = lrr.AffineFunctional(
@@ -320,10 +326,70 @@ class TestSimulatorChunking:
         np.testing.assert_array_equal(a[1], b[1])
 
 
+class TestStepper:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        mu_11=st.floats(-0.5, -0.005),
+        mu_12=st.floats(-0.05, 0.05),
+        mu_22=st.floats(-0.5, -0.005),
+        tilt=st.floats(-1.0, 1.0),
+        h=st.sampled_from([1 / 250, 1 / 12, 1.0]),
+    )
+    def test_one_step_x1_matches_ou_given_x2(self, mu_11, mu_12, mu_22, tilt, h):
+        # X1_h - iota1 = e^{mu_11 h} (x1 - iota1) + mu_12 int e^{mu_11 (h-s)} (X2 - iota2) ds
+        #                + int e^{mu_11 (h-s)} sqrt(X2) sigma_1.dW
+        # given the X2 endpoints, with X2 linear in between and its own shock
+        # sigma_2.dW a Brownian bridge pinned by the martingale increment y
+        dyn = lrr.StateDynamics(
+            mu_11=mu_11, mu_12=mu_12, mu_22=mu_22, iota=(0.0, 1.0),
+            sigma_1=(0.0, 0.01, 0.01 * tilt), sigma_2=(0.0, 0.0, 0.2),
+        )
+        x0 = (0.03, 0.8)
+        n = 40_000
+        x1, x2, _, _ = lrr._simulate_core(dyn, [], h, h, n, seed=1, x0=x0)
+        s = np.linspace(0.0, h, 4001)
+        kernel = np.exp(mu_11 * (h - s))
+        w1 = np.trapezoid(kernel, s) / h
+        w2 = np.trapezoid(kernel**2, s) / h
+        integral = 0.5 * h * (x0[1] + x2)
+        y = x2 - x0[1] - mu_22 * (integral - h)  # X2 increment less its drift
+        beta = float(dyn.sigma_1 @ dyn.sigma_2) / float(dyn.sigma_2 @ dyn.sigma_2)
+        perp = dyn.sigma_1 - beta * dyn.sigma_2
+        mean = (
+            math.exp(mu_11 * h) * x0[0]
+            + mu_12 * w1 * (integral - h)
+            + w1 * beta * y
+        )
+        var = integral * (w1**2 * float(perp @ perp) + (w2 - w1**2) * float(dyn.sigma_1 @ dyn.sigma_1))
+        z = (x1 - mean) / np.sqrt(var)
+        assert abs(z.mean()) <= 5.0 / math.sqrt(n)
+        assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+        assert np.all(x2 >= 0.0)
+
+    def test_horizon_off_the_step_grid_rejected(self, params):
+        # half a month at the one-month default step used to round silently
+        with pytest.raises(ValueError, match="multiple of the step"):
+            lrr.simulate_functional(
+                lrr.unit_functional(), params.dynamics(), horizons=[0.5], n_paths=10
+            )
+        with pytest.raises(ValueError, match="multiple of the step"):
+            lrr.simulate_states(params.dynamics(), 1.5, 1.0, 10)
+
+    def test_volatility_factor_never_negative(self, params):
+        # 4 kappa iota2 / |sigma_2|^2 = 0.5 degrees of freedom: the origin is attainable
+        wild = lrr.StateDynamics(
+            mu_11=params.mu_11, mu_12=0.0, mu_22=-0.05, iota=(0.0, 1.0),
+            sigma_1=params.sigma_1, sigma_2=(0.0, 0.0, 0.6),
+        )
+        x1, x2 = lrr.simulate_states(wild, 120.0, lrr.DT_DEFAULT, 20_000, seed=2)
+        assert np.all(x2 >= 0.0) and np.min(x2) < 1e-3
+        assert np.all(np.isfinite(x1))
+
+
 class TestStationaryDensity:
     def test_cir_moments_under_p(self, params):
         d = lrr.stationary_density(
-            params.dynamics(), n_paths=50_000, burn_in=600.0, seed=7, dt=1 / 12
+            params.dynamics(), n_paths=50_000, burn_in=600.0, seed=7, dt=MC_DT
         )
         mean_t, var_t = lrr.cir_stationary_moments(params.dynamics())
         assert var_t == pytest.approx(0.038**2 / 0.026, rel=1e-12)
@@ -336,7 +402,7 @@ class TestStationaryDensity:
 
     def test_adverse_states_correlate_under_recovered_measure(self, params, cm):
         d = lrr.stationary_density(
-            cm.dynamics(params), n_paths=50_000, burn_in=600.0, seed=8, dt=1 / 12
+            cm.dynamics(params), n_paths=50_000, burn_in=600.0, seed=8, dt=MC_DT
         )
         corr = d.cov[0, 1] / np.sqrt(d.cov[0, 0] * d.cov[1, 1])
         assert corr < -0.05
@@ -349,7 +415,7 @@ def curves(params):
     horizons = [12, 120, 360, 1200]
     return {
         flow: lrr.yield_curves(
-            params, horizons, cash_flow=flow, n_paths=4000, dt=1 / 12, seed=11
+            params, horizons, cash_flow=flow, n_paths=4000, dt=MC_DT, seed=11
         )
         for flow in ("consumption", "bond")
     }

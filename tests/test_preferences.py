@@ -274,6 +274,26 @@ class TestRecursiveSdf:
         inc = pref.recursive_martingale(two_state_transition, recursive_value)
         assert np.max(np.abs(inc - 1.0)) > 1e-3
 
+    def test_overflowing_v_star_gives_finite_sdf(self, two_state_transition):
+        # (1 - gamma) v is about 800, so v* = exp[(1 - gamma) v] overflows,
+        # while the ratio v*_j / (P_i v*) is of order one
+        spec = pref.RecursiveUtilitySpec(
+            delta=0.02, gamma=250.0, g_c=0.0, c=np.array([0.04, 0.05])
+        )
+        vf = pref.solve_continuation_value(spec, two_state_transition)
+        with np.errstate(over="ignore"):
+            assert np.all(np.isinf(vf.v_star))
+        p = two_state_transition.entries
+        w = vf.log_v_star
+        log_pv = np.log(np.sum(p * np.exp(w[None, :] - w.max()), axis=1)) + w.max()
+        ratio = np.exp(w[None, :] - log_pv[:, None])
+        inc = pref.recursive_martingale(two_state_transition, vf)
+        np.testing.assert_allclose(inc, ratio, rtol=1e-12)
+        np.testing.assert_allclose((p * inc).sum(axis=1), 1.0, rtol=1e-15)
+        s = pref.recursive_sdf(spec, two_state_transition, vf).entries
+        expected = np.exp(-spec.delta) * (spec.c[:, None] / spec.c[None, :]) * ratio
+        np.testing.assert_allclose(s, expected, rtol=1e-12)
+
     def test_overweighting_of_low_value_states(self, two_state_transition):
         # for gamma > 1 the recovered probabilities tilt toward low v_j
         rng = np.random.default_rng(5)

@@ -1,7 +1,11 @@
 """Tests for the square-root diffusion eigenfunction machinery."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recovery_lab import sqroot as sq
 from recovery_lab.exceptions import DegenerateSelectionError
@@ -135,6 +139,48 @@ class TestSimulation:
             sq.SquareRootModel(
                 kappa=0.1, mu_bar=0.1, sigma_bar=0.5, alpha_bar=0.0, beta_bar=-0.01
             )
+
+
+class TestSquareRootStep:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        x=st.floats(0.0, 3.0),
+        a=st.floats(0.05, 1.0),
+        kappa=st.floats(-1.0, 1.0),
+        s2=st.floats(0.01, 0.4),
+        h=st.sampled_from([1 / 250, 1 / 12, 1.0]),
+    )
+    def test_one_step_matches_cir_moments(self, x, a, kappa, s2, h):
+        # E and Var of X_h given X_0 = x for dX = (a - kappa X) dt + sqrt(s2 X) dW
+        n = 40_000
+        x_new, integral, y = sq.square_root_step(
+            np.full(n, x), a, kappa, s2, h, np.random.default_rng(0)
+        )
+        assert np.all(x_new >= 0.0)
+        g = h if kappa == 0.0 else -math.expm1(-kappa * h) / kappa  # (1 - e^{-kappa h}) / kappa
+        mean = x * math.exp(-kappa * h) + a * g
+        var = s2 * (x * math.exp(-kappa * h) * g + 0.5 * a * g * g)
+        dev = x_new - mean
+        assert abs(dev.mean()) <= 5.0 * math.sqrt(var / n)
+        sq_dev = dev * dev
+        assert abs(sq_dev.mean() - var) <= 5.0 * sq_dev.std() / math.sqrt(n)
+        np.testing.assert_array_equal(integral, 0.5 * h * (x + x_new))
+        np.testing.assert_array_equal(y, x_new - x - a * h + kappa * integral)
+
+    def test_origin_attainable_stays_nonnegative(self):
+        # 4 a / s2 = 0.16 degrees of freedom: paths touch zero, never cross it
+        x = np.full(10_000, 0.01)
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            x, _, _ = sq.square_root_step(x, 0.01, 0.1, 0.25, 1 / 12, rng)
+            assert np.all(x >= 0.0)
+        assert np.min(x) < 1e-6
+
+    def test_same_seed_reproduces(self):
+        m = make_model()
+        sel = sq.select_ergodic(sq.eigen_candidates(m))
+        runs = [sq.simulate(m, sel, 1.0, 1 / 50, 2_000, seed=6) for _ in range(2)]
+        assert runs[0] == runs[1]
 
 
 class TestInterfaces:
