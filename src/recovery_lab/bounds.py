@@ -26,6 +26,8 @@ zero exactly where the conjugate's form demands it.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -173,6 +175,8 @@ class BoundResult:
     converged: bool
     dual_value: float
     j: NDArray[np.float64]
+    iterations: int = 0  # Newton steps taken
+    n_rows: int = 0  # distinct sample rows the dual was solved on
 
     @property
     def duality_gap(self) -> float:
@@ -259,6 +263,40 @@ def kazemi_test(problem: BoundProblem) -> NDArray[np.float64]:
     return w @ (y - problem.price_samples)
 
 
+def _row_key(y: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Scalar sort key of each row: y @ v with v_k = sqrt(k + 2)."""
+    return y @ np.sqrt(np.arange(2.0, y.shape[1] + 2.0))
+
+
+def _distinct_rows(
+    y: NDArray[np.float64], w: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64], Optional[NDArray[np.intp]]]:
+    """Distinct rows of ``y`` with summed weights, and each row's group.
+
+    Rows are sorted by ``_row_key``, and a group starts wherever any column
+    differs from the previous sorted row, so rows that share a key but differ
+    are never merged.  (Equal rows that the sort leaves apart fall into
+    separate groups, which costs work but changes nothing.)  When every row is
+    its own group, ``y`` and ``w`` come back as given and the group index is
+    None; distinct keys prove that without comparing the rows.
+    """
+    t = y.shape[0]
+    key = _row_key(y)
+    order = np.argsort(key)
+    key = key[order]
+    if np.all(key[1:] != key[:-1]):
+        return y, w, None
+    ys = np.take(y, order, axis=0)
+    new = np.ones(t, dtype=bool)
+    np.any(ys[1:] != ys[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    if starts.size == t:
+        return y, w, None
+    group = np.empty(t, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return ys[starts], np.add.reduceat(w[order], starts), group
+
+
 def unconditional_bound(
     problem: BoundProblem,
     theta: float,
@@ -281,12 +319,18 @@ def unconditional_bound(
     judged by the gradient instead and accepted if it lowers max |gradient|.
     ConvergenceError is still raised when the gradient stops falling above
     ``grad_tol``.
+
+    The dual is a weighted sum over sample rows, so it is solved on the
+    distinct rows of [1, Y / R_inf] with their weights summed; ``j`` is then
+    expanded back to one entry per sample of positive weight.
     """
-    w = problem.weights
-    keep = w > 0
-    w = w[keep]
-    y = problem.payoff_samples[keep] / problem.long_bond_return[keep, None]
+    keep = problem.weights > 0
+    w = problem.weights[keep]
+    y = problem.payoff_samples / problem.long_bond_return[:, None]
+    if w.size < y.shape[0]:  # a boolean row mask copies slowly; skip it if all kept
+        y = y[keep]
     q_bar = problem.weights @ problem.price_samples
+    y, w, group = _distinct_rows(y, w)
     t, m = y.shape
     a = np.hstack([np.ones((t, 1)), y])  # z = a @ u
     target = np.concatenate([[1.0], q_bar])
@@ -307,6 +351,7 @@ def unconditional_bound(
     g_val, grad, j, curv, g_scale = dual_parts(u)
     converged = False
     direction = None
+    iterations = 0
     for _ in range(max_iter):
         if np.max(np.abs(grad)) <= grad_tol:
             converged = True
@@ -344,6 +389,7 @@ def unconditional_bound(
             if accept:
                 u = u + step * direction
                 g_val, grad, j, curv, g_scale = parts
+                iterations += 1
                 break
             step *= 0.5
         else:
@@ -370,8 +416,36 @@ def unconditional_bound(
         constraint_residuals=residuals,
         converged=converged,
         dual_value=g_val,
-        j=j,
+        j=j if group is None else j[group],
+        iterations=iterations,
+        n_rows=t,
     )
+
+
+def _walk(
+    cum: NDArray[np.float64], first: int, draws: NDArray[np.float64]
+) -> NDArray[np.int_]:
+    """Path of a chain from ``first``: one step per uniform draw.
+
+    ``cum`` holds the cumulative sums of the transition rows.  Draw u moves
+    state s to the first j with cum[s, j] >= u, the left ``np.searchsorted``
+    of the row.  A row may sum to slightly less than one, so a draw can exceed
+    its last cumulative value; such a draw goes to the row's last state with
+    positive probability.  The walk runs on Python floats with ``bisect``,
+    one cheap call per step.
+    """
+    n = cum.shape[0]
+    rows = cum.tolist()
+    for row in rows:
+        # the row's last positive state takes every draw above its predecessor
+        last = n - 1
+        while last > 0 and row[last] == row[last - 1]:
+            last -= 1
+        row[last:] = [math.inf] * (n - last)
+    path = [first]
+    s = first
+    path.extend([s := bisect_left(rows[s], u) for u in draws.tolist()])
+    return np.fromiter(path, dtype=np.intp, count=len(path))
 
 
 def generate_problem_from_chain(
@@ -420,14 +494,8 @@ def generate_problem_from_chain(
             raise ValueError("sampled mode needs horizon_t >= 1")
         rng = np.random.default_rng(seed)
         pi = stationary_distribution(economy.transition)
-        states = np.empty(horizon_t + 1, dtype=int)
-        states[0] = rng.choice(n, p=pi)
-        cum = np.cumsum(p, axis=1)
-        draws = rng.random(horizon_t)
-        # successor[i, t]: the state after i at step t, for every i at once
-        successor = np.stack([np.searchsorted(cum[i], draws) for i in range(n)])
-        for t in range(horizon_t):
-            states[t + 1] = successor[states[t], t]
+        first = int(rng.choice(n, p=pi))
+        states = _walk(np.cumsum(p, axis=1), first, rng.random(horizon_t))
         rows_i, rows_j = states[:-1], states[1:]
         weights = np.full(horizon_t, 1.0 / horizon_t)
     else:

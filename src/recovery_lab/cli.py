@@ -373,6 +373,8 @@ def run_bounds(args) -> int:
             "multipliers": res.multipliers.tolist(),
             "constraint_residuals": res.constraint_residuals.tolist(),
             "converged": res.converged,
+            "iterations": res.iterations,
+            "n_rows": res.n_rows,
             "population_discrepancy": bounds_mod.population_discrepancy(
                 source, recovered, theta
             ),

@@ -926,23 +926,75 @@ def _irreducible_period(adj: NDArray[np.bool_]) -> tuple[bool, int]:
     return True, int(np.gcd.reduce(level[rows] + 1 - level[cols]))
 
 
+def _count_strong_classes(adj: NDArray[np.bool_]) -> int:
+    """Number of strongly connected classes: one iterative Tarjan pass, O(n + E).
+
+    (Tarjan, SIAM J. Comput. 1(2), 1972.)  Each state gets a discovery index
+    and the lowest index reachable from its depth-first subtree through edges
+    to states still on the stack; a state whose two agree closes a class.
+    """
+    n = adj.shape[0]
+    rows, cols = np.nonzero(adj)
+    first_edge = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    succ = cols.tolist()
+    next_edge = first_edge[:-1]  # per state, the next of its edges to scan
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    n_classes = 0
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        path = [root]  # the depth-first path from the root
+        while path:
+            v = path[-1]
+            k, end, low_v = next_edge[v], first_edge[v + 1], low[v]
+            w = -1
+            while k < end:  # scan v's edges up to its next undiscovered successor
+                w = succ[k]
+                k += 1
+                if index[w] < 0:
+                    break
+                if on_stack[w] and index[w] < low_v:
+                    low_v = index[w]
+                w = -1
+            next_edge[v], low[v] = k, low_v
+            if w >= 0:
+                index[w] = low[w] = counter
+                counter += 1
+                stack.append(w)
+                on_stack[w] = True
+                path.append(w)
+                continue
+            path.pop()
+            if path and low_v < low[path[-1]]:
+                low[path[-1]] = low_v
+            if low_v == index[v]:
+                n_classes += 1
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    if w == v:
+                        break
+    return n_classes
+
+
 def _graph_report(adj: NDArray[np.bool_]) -> ErgodicityReport:
     """Strong connectivity, period and class count of a directed graph.
 
-    Only a reducible graph has its strongly connected classes counted: each
-    is the forward reach intersected with the backward reach of the first
-    state not yet in a class.
+    Only a reducible graph has its strongly connected classes counted
+    (``_count_strong_classes``).
     """
     irreducible, period = _irreducible_period(adj)
     if irreducible:
         return ErgodicityReport(True, period == 1, 1, period)
-    unassigned = np.ones(adj.shape[0], dtype=bool)
-    n_classes = 0
-    while unassigned.any():
-        s = int(np.argmax(unassigned))
-        unassigned &= (_bfs_levels(adj, s) < 0) | (_bfs_levels(adj.T, s) < 0)
-        n_classes += 1
-    return ErgodicityReport(False, False, n_classes, 0)
+    return ErgodicityReport(False, False, _count_strong_classes(adj), 0)
 
 
 def ergodicity_check(transition: StochasticMatrix) -> ErgodicityReport:
@@ -1066,14 +1118,13 @@ def economy_to_dict(economy: MarkovPricingEconomy) -> dict:
 
 
 def recovery_to_dict(recovered: RecoveredMeasure) -> dict:
+    """The recovery's fields by name, vectors and matrices as numpy arrays."""
     return {
         "eta_hat": recovered.eta_hat,
-        "e_hat": recovered.e_hat.tolist(),
-        "e_star": recovered.e_star.tolist(),
-        "p_hat": recovered.p_hat.entries.tolist(),
-        "h_increments": None
-        if recovered.h_increments is None
-        else recovered.h_increments.tolist(),
+        "e_hat": recovered.e_hat,
+        "e_star": recovered.e_star,
+        "p_hat": recovered.p_hat.entries,
+        "h_increments": recovered.h_increments,
     }
 
 

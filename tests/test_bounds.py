@@ -1,6 +1,7 @@
 """Tests for divergence kernels, conditional discrepancies and dual bounds."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -244,6 +245,79 @@ class TestUnconditionalBound:
         se = np.std(reps, ddof=1)
         assert abs(val - pop_val) <= 3.0 * se
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_diagnostics_on_sampled_arrow_problem(self, n):
+        eco = random_recursive_economy(np.random.default_rng(n), n)
+        prob = bd.generate_problem_from_chain(
+            eco, mk.recover(eco), "arrow", horizon_t=5_000, mode="sampled", seed=4
+        )
+        for theta in (-1.0, 0.0, 1.0):
+            res = bd.unconditional_bound(prob, theta, max_iter=50)
+            assert res.converged
+            assert 1 <= res.iterations <= 50
+            # the samples take one distinct row per live transition at most
+            assert res.n_rows <= n * n
+            assert res.j.shape == (5_000,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        copies=st.lists(st.integers(1, 4), min_size=25, max_size=25),
+    )
+    def test_repeated_rows_match_deduplicated_problem(self, seed, n, copies):
+        rng = np.random.default_rng(seed)
+        eco = random_recursive_economy(rng, n)
+        base = bd.generate_problem_from_chain(eco, mk.recover(eco), "arrow")
+        t = base.weights.size
+        # each row repeated, its weight split at random, the copies shuffled
+        source = np.repeat(np.arange(t), copies[:t])
+        source = source[rng.permutation(source.size)]
+        split = rng.uniform(0.1, 1.0, size=source.size)
+        share = split / np.bincount(source, weights=split)[source]
+        repeated = bd.BoundProblem(
+            payoff_samples=base.payoff_samples[source],
+            price_samples=base.price_samples[source],
+            long_bond_return=base.long_bond_return[source],
+            weights=base.weights[source] * share,
+        )
+        for theta in (-1.0, 0.0, 1.0):
+            want = bd.unconditional_bound(base, theta)
+            got = bd.unconditional_bound(repeated, theta)
+            assert want.n_rows == t and got.n_rows == t
+            assert abs(got.lambda_bar - want.lambda_bar) <= 1e-10
+            np.testing.assert_allclose(got.j, want.j[source], rtol=0, atol=1e-10)
+
+    def test_rows_sharing_a_sort_key_are_not_merged(self):
+        a = [math.sqrt(3.0), 0.0]
+        b = [0.0, math.sqrt(2.0)]
+        c = [1.0, 1.0]
+        order = [0, 1, 0, 1, 2, 1, 0, 2, 1, 2]
+        distinct = np.array([a, b, c])
+        y = distinct[order]
+        key = bd._row_key(y)
+        assert key[0] == key[1] != key[4]  # the premise: a and b tie on the key
+        reps, w, group = bd._distinct_rows(y, np.full(10, 0.1))
+        np.testing.assert_array_equal(reps[group], y)
+        assert w.sum() == pytest.approx(1.0)
+        # prices of a feasible J, so the grouped solve must match the 3-row one
+        w3 = np.array([0.3, 0.4, 0.3])
+        q = (w3 * [1.2, 0.85, 1.0]) @ distinct
+        prob = bd.BoundProblem(
+            payoff_samples=y, price_samples=np.tile(q, (10, 1)), long_bond_return=np.ones(10)
+        )
+        three = bd.BoundProblem(
+            payoff_samples=distinct,
+            price_samples=np.tile(q, (3, 1)),
+            long_bond_return=np.ones(3),
+            weights=w3,
+        )
+        for theta in (-1.0, 0.0, 1.0):
+            got = bd.unconditional_bound(prob, theta)
+            want = bd.unconditional_bound(three, theta)
+            assert got.lambda_bar == pytest.approx(want.lambda_bar, abs=1e-12)
+            np.testing.assert_allclose(got.j, want.j[order], atol=1e-12)
+
     def test_infeasible_reported_with_direction(self):
         # a claim paying exactly R_inf must have weighted price 1; demand 2
         t = 50
@@ -333,6 +407,53 @@ class TestProblemGeneration:
         states = np.asarray(states)
         np.testing.assert_array_equal(prob.payoff_samples, np.eye(n)[states[1:]])
         np.testing.assert_array_equal(prob.price_samples, eco.prices.entries[states[:-1]])
+
+    def test_draw_above_row_sum_goes_to_last_live_state(self):
+        # rows within 1e-12 of one are valid; their last cumulative sum is
+        # below some draws, where the left search runs off the end of the row
+        for row in ([0.5, 0.5 - 8e-13], [0.5, 0.5 - 8e-13, 0.0]):
+            p = mk.StochasticMatrix([row] * len(row)).entries
+            cum = np.cumsum(p, axis=1)
+            assert np.searchsorted(cum[0], 1.0 - 4e-13) == len(row)
+            path = bd._walk(cum, 0, np.array([1.0 - 4e-13, 0.2, 1.0 - 4e-13]))
+            np.testing.assert_array_equal(path, [0, 1, 0, 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_walk_matches_per_step_search(self, data):
+        n = data.draw(st.integers(1, 12))
+        raw = np.array(
+            data.draw(
+                st.lists(
+                    st.sampled_from([0.0, 0.0, 1e-300, 1e-9, 0.1, 0.3, 1.0, 7.0]),
+                    min_size=n * n,
+                    max_size=n * n,
+                )
+            )
+        ).reshape(n, n)
+        raw[raw.sum(axis=1) == 0, data.draw(st.integers(0, n - 1))] = 1.0
+        # rows may fall short of one by as much as StochasticMatrix accepts
+        short = data.draw(
+            st.lists(st.sampled_from([0.0, 1e-16, 4e-13, 1e-12]), min_size=n, max_size=n)
+        )
+        p = raw / raw.sum(axis=1, keepdims=True) * (1.0 - np.array(short))[:, None]
+        cum = np.cumsum(p, axis=1)
+        # uniform draws, draws on the cumulative sums, and draws next to one
+        draw = st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.sampled_from(cum[cum < 1.0].tolist() or [0.5]),
+            st.sampled_from([1.0 - 1e-16, 1.0 - 5e-13]),
+        )
+        draws = np.array(data.draw(st.lists(draw, max_size=60)), dtype=float)
+        first = data.draw(st.integers(0, n - 1))
+        states = [first]
+        for u in draws:
+            s = states[-1]
+            j = int(np.searchsorted(cum[s], u))
+            if j == n:  # above the row's sum: its last live state
+                j = int(np.flatnonzero(cum[s] > np.concatenate([[0.0], cum[s, :-1]]))[-1])
+            states.append(j)
+        np.testing.assert_array_equal(bd._walk(cum, first, draws), states)
 
     def test_long_bond_return_read_from_recovery(self, recursive_economy):
         rec = mk.recover(recursive_economy)

@@ -116,6 +116,24 @@ class TestRecover:
         assert np.max(np.abs(h - 1.0)) > 1e-3
         assert np.max(np.abs(np.asarray(payload["p_hat"]) - [[0.9, 0.1], [0.1, 0.9]])) > 1e-3
 
+    def test_recovery_json_matches_json_dump_of_lists(
+        self, tmp_path, recursive_economy, recursive_economy_file
+    ):
+        out = tmp_path / "out"
+        assert cli.main(
+            ["recover", "--input", str(recursive_economy_file), "--out", str(out)]
+        ) == 0
+        rec = mk.recover(recursive_economy)
+        as_lists = {
+            "eta_hat": rec.eta_hat,
+            "e_hat": rec.e_hat.tolist(),
+            "e_star": rec.e_star.tolist(),
+            "p_hat": rec.p_hat.entries.tolist(),
+            "h_increments": rec.h_increments.tolist(),
+        }
+        expected = json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
+        assert (out / "recovery.json").read_bytes() == expected.encode()
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["recover", "--help"]) == 0
         assert "recover" in capsys.readouterr().out
@@ -258,6 +276,8 @@ class TestBounds:
             assert entry["lambda_bar"] > 0
             assert entry["lambda_bar"] <= entry["population_discrepancy"] + 1e-10
             assert entry["duality_gap"] <= 1e-8
+            assert 1 <= entry["iterations"] <= 200
+            assert entry["n_rows"] == 4  # every transition of the 2-state chain
 
     def test_unit_martingale_bounds_zero(self, tmp_path, power_economy_file):
         out = tmp_path / "bnd0"

@@ -704,6 +704,12 @@ class TestErgodicityCheck:
             mk._require_primitive(path, np.ones((500, 500)), "derived matrix")
         assert len(calls) <= 2
 
+    def test_path_with_absorbing_end_counts_every_state(self):
+        path = np.eye(500, k=1)
+        path[-1, -1] = 1.0
+        rep = mk.ergodicity_check(mk.StochasticMatrix(path))
+        assert rep == mk.ErgodicityReport(False, False, 500, 0)
+
     @settings(max_examples=300, deadline=None)
     @given(graph_patterns())
     def test_matches_reference_on_random_patterns(self, adj):
