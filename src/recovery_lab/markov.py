@@ -27,6 +27,7 @@ All operations are pure functions of immutable inputs.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -80,8 +81,8 @@ __all__ = [
 
 _ROW_SUM_TOL = 1e-12
 _ECONOMY_REL_TOL = 1e-14
-_PF_TOL = 1e-14
-_PF_MAX_ITER = 1_000_000
+_PERRON_MAX_STEPS = 100
+_log = logging.getLogger(__name__)
 
 
 def _as_square(entries, name: str) -> NDArray[np.float64]:
@@ -415,55 +416,72 @@ def forward_measure(prices: PricingMatrix, horizon: int) -> StochasticMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _power_iteration(
-    a: NDArray[np.float64], tol: float, max_iter: int
-) -> tuple[float, NDArray[np.float64]]:
-    """Dominant eigenpair of a primitive nonnegative matrix.
+def _perron(a: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
+    """Perron root and nonnegative eigenvector (max entry 1) of a primitive matrix.
 
-    Iterates v <- A v with sup-norm renormalization and a Rayleigh-quotient
-    eigenvalue estimate; converges geometrically at the spectral-gap rate.
-    A residual that round-off holds above ``tol`` for 50 steps is accepted at
-    or below 1e-10.  Above that the iteration goes on (a non-normal matrix can
-    raise the residual for hundreds of steps); only ``max_iter`` ends it.
+    Noda iteration (T. Noda, Numer. Math. 17, 1971; quadratic convergence:
+    L. Elsner, Linear Algebra Appl. 15, 1976).  From x = 1, each step solves
+    (shift I - A) y = x, sets x = y / max(y) and sigma = shift - min(x_old / y),
+    the Collatz-Wielandt upper bound max_i (A x)_i / x_i of the new x.  The
+    shift is sigma (1 + tol), so the first solve is nonsingular even where the
+    largest row sum is the root; a solve that is singular, non-finite or
+    negative beyond round-off is retried at 16, 256 and 4096 times that offset.
+
+    The one stop rule: max|A x - sigma x| <= tol sigma, tol = 4 sqrt(n) eps, at
+    two iterates in a row (at an ill-conditioned root the first can be off by
+    tol times the condition number).  ConvergenceError is raised past
+    _PERRON_MAX_STEPS steps, when all four solves fail, or when round-off
+    drives sigma to zero or below (a root near underflow).
     """
     n = a.shape[0]
-    v = np.ones(n)
-    lam = 0.0
-    stagnant = 0
-    last_residual = np.inf
-    for _ in range(max_iter):
-        w = a @ v
-        lam = float(v @ w) / float(v @ v)
-        residual = float(np.max(np.abs(w - lam * v)))
-        if residual <= tol * max(1.0, abs(lam)):
-            return lam, w / np.max(w)
-        if residual >= last_residual * (1.0 - 1e-15):
-            stagnant += 1
-            if stagnant > 50 and residual <= 1e-10 * max(1.0, abs(lam)):
-                return lam, w / np.max(w)
+    tol = 4.0 * np.sqrt(n) * np.finfo(float).eps
+    offsets = (1.0 + tol * 16.0 ** np.arange(4)).tolist()
+    x, ax = np.ones(n), a.sum(axis=1)
+    sigma, residual = float(ax.max()), np.inf
+    m = -a  # shift I - A once its diagonal is set
+    met = 0  # iterates in a row that meet the stop rule
+    for steps in range(_PERRON_MAX_STEPS + 1):
+        if not sigma > 0:
+            break
+        residual = float(np.abs(ax - sigma * x).max()) / sigma
+        met = met + 1 if residual <= tol else 0
+        if met == 2:
+            if _log.isEnabledFor(logging.DEBUG):
+                ratio = ax[x > 0] / x[x > 0]  # the Collatz-Wielandt bracket, a diagnostic only
+                _log.debug("Perron: n=%d, %d Noda steps, relative residual %.2e, relative "
+                           "Collatz-Wielandt bracket %.2e", n, steps, residual, np.ptp(ratio) / sigma)
+            return sigma, x
+        for shift in (sigma * f for f in offsets):
+            np.fill_diagonal(m, shift - a.diagonal())
+            try:
+                y = np.linalg.solve(m, x)
+            except np.linalg.LinAlgError:
+                continue
+            top = y.max()  # y > 0 in exact arithmetic; round-off below zero is clipped
+            if 0.0 < top < np.inf and y.min() >= -tol * top:
+                y = np.maximum(y, 0.0)
+                break
         else:
-            stagnant = 0
-        last_residual = residual
-        v = w / np.max(w)
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+            break
+        with np.errstate(over="ignore"):
+            sigma = float(shift - (x[y > 0] / y[y > 0]).min())
+        x = y / top
+        ax = a @ x
+    raise ConvergenceError(f"Noda iteration stopped after {steps} steps at sigma {sigma:.3e}, "
+                           f"relative residual {residual:.3e}")
 
 
-def perron_frobenius(
-    prices: PricingMatrix, tol: float = _PF_TOL, max_iter: int = _PF_MAX_ITER
-) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
+def perron_frobenius(prices: PricingMatrix) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
     """Dominant eigentriple of the pricing matrix.
 
     Returns (eta_hat, e_hat, e_star): exp(eta_hat) is the spectral radius,
     e_hat the positive right eigenvector with max entry 1, e_star the left
-    eigenvector scaled to sum to 1.  The eigenvalue is polished with the
-    two-sided Rayleigh quotient, which squares the residual error.
+    eigenvector scaled to sum to 1.  Each side is one ``_perron`` solve, whose
+    docstring states the stop rule.
     """
     q = prices.entries
-    radius, e_hat = _power_iteration(q, tol, max_iter)
-    _, e_star = _power_iteration(q.T, tol, max_iter)
-    radius = float(e_star @ (q @ e_hat)) / float(e_star @ e_hat)
-    if radius <= 0:
-        raise NonPrimitiveMatrixError("spectral radius is not positive")
+    radius, e_hat = _perron(q)
+    _, e_star = _perron(q.T)
     return float(np.log(radius)), e_hat, e_star / e_star.sum()
 
 
@@ -499,19 +517,16 @@ def _recovered_transition(
     return p_hat
 
 
-def recover(
-    source: Union[MarkovPricingEconomy, PricingMatrix],
-    tol: float = _PF_TOL,
-    max_iter: int = _PF_MAX_ITER,
-) -> RecoveredMeasure:
+def recover(source: Union[MarkovPricingEconomy, PricingMatrix]) -> RecoveredMeasure:
     """Long-term risk-neutral transition matrix implied by Arrow prices.
 
-    p_hat_ij = exp(-eta_hat) q_ij e_hat_j / e_hat_i.  When a full economy is
-    supplied, the martingale increments h_hat_ij = p_hat_ij / p_ij are filled
-    in (1 on zero-probability transitions); R_inf is read as ``r_inf``.  The
-    recovered chain must be irreducible and aperiodic, else ErgodicityError is
-    raised; it has the zero pattern of the primitive Q unless an entry
-    underflows, and only then is its graph searched.
+    p_hat_ij = exp(-eta_hat) q_ij e_hat_j / e_hat_i, eigenpair from
+    ``perron_frobenius``.  When a full economy is supplied, the martingale
+    increments h_hat_ij = p_hat_ij / p_ij are filled in (1 on zero-probability
+    transitions); R_inf is read as ``r_inf``.  The recovered chain must be
+    irreducible and aperiodic, else ErgodicityError is raised; it has the zero
+    pattern of the primitive Q unless an entry underflows, and only then is
+    its graph searched.
     """
     if isinstance(source, MarkovPricingEconomy):
         prices = source.prices
@@ -519,7 +534,7 @@ def recover(
     else:
         prices = source
         transition = None
-    eta_hat, e_hat, e_star = perron_frobenius(prices, tol=tol, max_iter=max_iter)
+    eta_hat, e_hat, e_star = perron_frobenius(prices)
     p_hat = _recovered_transition(
         prices.entries, eta_hat, e_hat, "recovered transition matrix"
     )
@@ -816,7 +831,7 @@ def extended_pf_family(
                 "moment-generating correction overflowed; zeta too large"
             ) from exc
     _require_primitive(q_zeta, q, "zeta-weighted pricing matrix")
-    radius, e = _power_iteration(q_zeta, _PF_TOL, _PF_MAX_ITER)
+    radius, e = _perron(q_zeta)
     eta = float(np.log(radius))
     p_hat = _recovered_transition(q_zeta, eta, e, "zeta-indexed recovered transition")
     return ExtendedRecovery(eta=eta, e=e, p_hat=StochasticMatrix(p_hat))
@@ -886,7 +901,7 @@ def structured_recover(
         raise ValueError("y_r_increments must be positive wherever q_ij > 0")
     ratio = np.where(q > 0, q / np.where(g > 0, g, 1.0), 0.0)
     _require_primitive(ratio, q, "growth-adjusted pricing matrix")
-    radius, e = _power_iteration(ratio, _PF_TOL, _PF_MAX_ITER)
+    radius, e = _perron(ratio)
     eta = float(np.log(radius))
     p_tilde = _recovered_transition(ratio, eta, e, "structured recovered transition")
     return StructuredRecovery(

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -133,6 +134,21 @@ class TestRecover:
         }
         expected = json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
         assert (out / "recovery.json").read_bytes() == expected.encode()
+
+    def test_solver_debug_log_leaves_output_unchanged(
+        self, tmp_path, power_economy_file, capsys, caplog
+    ):
+        argv = ["recover", "--input", str(power_economy_file), "--out"]
+        assert cli.main([*argv, str(tmp_path / "plain")]) == 0
+        plain = capsys.readouterr()
+        with caplog.at_level(logging.DEBUG, logger="recovery_lab.markov"):
+            assert cli.main([*argv, str(tmp_path / "logged")]) == 0
+        assert caplog.records
+        assert capsys.readouterr() == plain
+        for name in ("recovery.json", "decomposition.csv"):
+            assert (tmp_path / "logged" / name).read_bytes() == (
+                tmp_path / "plain" / name
+            ).read_bytes()
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["recover", "--help"]) == 0

@@ -1,10 +1,11 @@
 """Unit and property tests for the finite-state recovery machinery."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -60,6 +61,59 @@ def graph_patterns(draw):
         cls = np.arange(n) % d
         adj &= cls[None, :] == (cls[:, None] + 1) % d
     return adj
+
+
+@st.composite
+def primitive_prices(draw, repeated_values=False):
+    """Random 2-12 state Q with zero entries and nonzero entries in [1e-3, 1].
+
+    A cycle through every state and a self-loop on state 0 make it primitive.
+    By default the values are uniform draws from a drawn seed.  Values drawn
+    by hypothesis itself repeat (1.0, 1e-3), and repeated blocks give roots
+    as close as 1e-13 apart, where no double-precision solver is accurate to
+    1e-12: against a 40-digit reference, eig's vectors were off by up to
+    2.5e-4 on such matrices.
+    """
+    n = draw(st.integers(2, 12))
+    live = draw(arrays(np.bool_, (n, n)))
+    live[np.arange(n), (np.arange(n) + 1) % n] = True
+    live[0, 0] = True
+    if repeated_values:
+        values = draw(arrays(np.float64, (n, n), elements=st.floats(1e-3, 1.0)))
+    else:
+        values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(1e-3, 1.0, (n, n))
+    return np.where(live, values, 0.0)
+
+
+def meets_stop_rule(a, sigma, x):
+    """The Perron solver's stop rule: max entry 1, max|A x - sigma x| <= 4 sqrt(n) eps sigma."""
+    tol = 4.0 * np.sqrt(a.shape[0]) * np.finfo(float).eps
+    return np.max(x) == 1.0 and np.max(np.abs(a @ x - sigma * x)) <= tol * sigma
+
+
+# blocks of the near-reducible matrices whose largest row sum equals the
+# Perron root to working precision
+BLOCK_A = np.array([[0.5, 0.4], [0.3, 0.6]])
+BLOCK_B = np.array([[0.45, 0.45], [0.2, 0.7]])
+
+
+def joined(top, bottom, link):
+    return np.block([[top, np.full((2, 2), link)], [np.full((2, 2), link), bottom]])
+
+
+# on the left side sigma falls below the root after the first iterate that
+# meets the stop rule, so the confirming solve is retried farther from it
+RETRIED_SOLVE = np.array(
+    [
+        [1e-3, 1e-3, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1e-3, 0.0, 0.0, 1.0, 0.75],
+        [0.0, 0.0, 0.0, 1e-3, 0.5, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0, 1e-3, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1e-3, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-3],
+        [1e-3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+)
 
 
 # Arrow-price entries for the underflow property: zeros, subnormals whose
@@ -229,6 +283,135 @@ class TestPerronFrobenius:
         np.testing.assert_allclose(rec.e_hat, e_hat, atol=1e-9)
         np.testing.assert_allclose(rec.e_star, e_star / e_star.sum(), atol=1e-9)
 
+    @settings(max_examples=300, deadline=None)
+    @given(primitive_prices())
+    def test_matches_dense_eig_on_sparse_primitive_matrices(self, q):
+        eta, e_hat, e_star = mk.perron_frobenius(mk.PricingMatrix(q))
+        radius, e_ref = dense_dominant(q)
+        _, e_star_ref = dense_dominant(q.T)
+        assert eta == pytest.approx(np.log(radius), abs=1e-12)
+        np.testing.assert_allclose(e_hat, e_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(e_star, e_star_ref / e_star_ref.sum(), rtol=0, atol=1e-12)
+        assert np.all(e_hat > 0) and np.all(e_star >= 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(primitive_prices(repeated_values=True))
+    @example(RETRIED_SOLVE)
+    def test_meets_stop_rule_with_repeated_entries(self, q):
+        for a in (q, q.T):
+            sigma, x = mk._perron(a)
+            assert np.all(x >= 0) and meets_stop_rule(a, sigma, x)
+
+    def test_ill_conditioned_root_to_round_off(self):
+        # the top two roots are 2e-6 apart; the first iterate to meet the stop
+        # rule had e_hat off by 1.5e-10.  Reference values carry 40 digits.
+        q = np.array(
+            [[1.0, 1e-3, 0.0, 0.0], [0.0, 1.0, 1e-3, 0.0], [0.0, 0.0, 0.0, 1e-3], [1e-3, 0.0, 0.0, 0.0]]
+        )
+        eta, e_hat, e_star = mk.perron_frobenius(mk.PricingMatrix(q))
+        assert eta == pytest.approx(9.999985000033333e-07, abs=1e-15)
+        np.testing.assert_allclose(
+            e_hat, [1.0, 9.99999000002e-4, 9.99998000005e-7, 9.99999000002e-4], rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(
+            e_star,
+            [9.98001999998e-4, 0.998002997999002, 9.98001999998e-4, 9.98001001997996e-7],
+            rtol=0,
+            atol=1e-14,
+        )
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3])
+    def test_scaling_prices_shifts_only_eta(self, c):
+        q = stagnation_grid_economy().prices.entries
+        rec = mk.recover(mk.PricingMatrix(q))
+        scaled = mk.recover(mk.PricingMatrix(c * q))
+        assert scaled.eta_hat - rec.eta_hat == pytest.approx(np.log(c), abs=1e-12)
+        np.testing.assert_allclose(scaled.e_hat, rec.e_hat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scaled.e_star, rec.e_star, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scaled.p_hat.entries, rec.p_hat.entries, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            np.array([[0.5, 0.4, 0.0], [0.0, 1e-4, 1e-3], [1e-321, 0.0, 0.9]]),
+            joined(BLOCK_A, 0.99 * BLOCK_B, 1e-310),
+            joined(BLOCK_A, BLOCK_A, 5e-324),
+        ],
+        ids=["underflow-3", "unequal-blocks", "equal-blocks"],
+    )
+    def test_singular_first_shift(self, q, monkeypatch):
+        # the first shift is the largest row sum, here the Perron root to
+        # working precision: the result meets the stop rule or fails within
+        # the step guard (four solves a step at most)
+        for a in (q, q.T):
+            solves = count_calls(monkeypatch, np.linalg, "solve")
+            try:
+                sigma, x = mk._perron(a)
+            except ConvergenceError:
+                pass
+            else:
+                assert np.all(x >= 0) and meets_stop_rule(a, sigma, x)
+            assert len(solves) <= 4 * (mk._PERRON_MAX_STEPS + 1)
+            monkeypatch.undo()
+
+    def test_retried_solve_to_round_off(self):
+        # reference values carry 40 digits
+        eta, e_hat, e_star = mk.perron_frobenius(mk.PricingMatrix(RETRIED_SOLVE))
+        assert eta == pytest.approx(-4.3905397891545410057, abs=1e-14)
+        e_ref = [1.08776515355596e-3, 1.23940366762487e-2, 8.07070086536439e-2, 1.0,
+                 5.71342789901116e-7, 7.08124381917727e-6, 8.776519965416e-5]
+        e_star_ref = [3.71901727091167e-2, 6.32041360464752e-3, 5.09955995644257e-4,
+                      4.11452689270687e-5, 2.05759542267483e-2, 0.511616145102881,
+                      0.423746213092035]
+        np.testing.assert_allclose(e_hat, e_ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(e_star, e_star_ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "q",
+        [
+            [[1e-310, 1e-321, 0.0, 5e-324, 1e-321], [1e-3, 0.0, 0.0, 1e-310, 5e-324],
+             [0.0, 1e-321, 0.0, 1e-310, 0.0], [0.3, 0.3, 0.9, 5e-324, 1e-310],
+             [0.9, 0.0, 0.9, 0.3, 1e-310]],
+            [[1e-321, 5e-324, 0.0, 5e-324, 1e-321], [5e-324, 1e-310, 0.0, 0.0, 1e-310],
+             [1e-310, 1e-3, 1e-310, 0.3, 1e-3], [0.9, 0.3, 1e-310, 0.0, 0.3],
+             [5e-324, 1e-321, 0.0, 1e-310, 5e-324]],
+            [[1e-321, 1e-310, 0.0, 1e-310], [1e-3, 5e-324, 5e-324, 1e-310],
+             [0.3, 1e-3, 1e-310, 0.3], [1e-321, 0.3, 5e-324, 5e-324]],
+        ],
+        ids=["root-5e-82", "root-8e-156", "root-3e-105"],
+    )
+    def test_root_near_underflow_raises(self, q):
+        # rows of subnormal entries put the Perron root far below the entries
+        # (1e-82 and less by 1500-digit eig); round-off drives sigma to zero
+        # or below, and no iterate may be returned as converged
+        with pytest.raises(ConvergenceError):
+            mk.perron_frobenius(mk.PricingMatrix(q))
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_eigenvector_entries(self):
+        # the root is the 1e-3 self-loop; e_hat has entries near 1e-310 and
+        # 1e-321, and a solve that round-off leaves negative is retried
+        q = np.array(
+            [[1e-310, 0.0, 1e-310, 1e-310], [0.9, 1e-310, 0.0, 0.9],
+             [1e-310, 1e-321, 1e-321, 1e-321], [0.3, 5e-324, 5e-324, 1e-3]]
+        )
+        eta, _, _ = mk.perron_frobenius(mk.PricingMatrix(q))
+        assert eta == pytest.approx(np.log(1e-3), abs=1e-13)
+        for a in (q, q.T):
+            sigma, x = mk._perron(a)
+            assert meets_stop_rule(a, sigma, x)
+
+    def test_debug_log_reports_each_side(self, power_economy, caplog):
+        with caplog.at_level(logging.DEBUG, logger="recovery_lab.markov"):
+            mk.perron_frobenius(power_economy.prices)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        for message in messages:
+            assert message.startswith("Perron: n=2, ")
+            assert "Noda steps, relative residual" in message
+            assert "relative Collatz-Wielandt bracket" in message
+
 
 class TestRecover:
     def test_power_utility_recovers_transition(self, power_economy, two_state_transition):
@@ -332,7 +515,7 @@ class TestRecover:
         assume(mk.is_primitive(q) and q.sum(axis=1).min() >= 1e-3)
         prices = mk.PricingMatrix(q)
         try:
-            eta, e_hat, _ = mk.perron_frobenius(prices, max_iter=2_000)
+            eta, e_hat, _ = mk.perron_frobenius(prices)
         except ConvergenceError:
             assume(False)  # dominant eigenvalue numerically multiple
         with np.errstate(all="ignore"):  # an underflowed e_hat entry gives inf
@@ -340,10 +523,10 @@ class TestRecover:
             p_hat /= p_hat.sum(axis=1, keepdims=True)
         assume(np.all(np.isfinite(p_hat)))
         if mk.ergodicity_check(mk.StochasticMatrix(p_hat)).ok:
-            mk.recover(prices, max_iter=2_000)
+            mk.recover(prices)
         else:
             with pytest.raises(ErgodicityError):
-                mk.recover(prices, max_iter=2_000)
+                mk.recover(prices)
 
     def test_ross_form_iff_unit_martingale(self):
         # distorting a unit-martingale economy by increments h recovers 1/h
@@ -618,7 +801,7 @@ class TestExtendedFamily:
 
     def test_one_right_eigensolve(self, monkeypatch):
         _, y, eco, a_s = self._setup()
-        calls = count_calls(monkeypatch, mk, "_power_iteration")
+        calls = count_calls(monkeypatch, mk, "_perron")
         mk.extended_pf_family(eco, y, 0.8, sdf_gaussian_loading=a_s)
         assert len(calls) == 1
 
@@ -653,7 +836,7 @@ class TestStructuredRecovery:
         assert sr.delta == pytest.approx(delta, abs=1e-10)
 
     def test_one_right_eigensolve(self, power_economy, monkeypatch):
-        calls = count_calls(monkeypatch, mk, "_power_iteration")
+        calls = count_calls(monkeypatch, mk, "_perron")
         mk.structured_recover(power_economy, np.ones((2, 2)))
         assert len(calls) == 1
 
