@@ -270,10 +270,9 @@ def run_lrr(args) -> int:
             dyn, sim["burn_in"], sim["dt"], int(sim["n_paths"]), seed
         )
 
-    # one stationary ensemble per law for the densities; the physical one
-    # also supplies the yield draws, the recovered law's draws use seed + 1
+    # one stationary ensemble per law, all at --seed; the P and P-hat ones
+    # also supply the yield draws
     jobs = [(dyn, args.seed) for dyn in dynamics.values()]
-    jobs.append((dynamics["p_hat"], args.seed + 1))
     workers = min(_max_threads(), len(jobs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -292,7 +291,7 @@ def run_lrr(args) -> int:
         )
 
     horizons = _parse_horizons(args.horizons or "12:1200:12")
-    draws = (ensembles[0], ensembles[-1])
+    draws = (ensembles[0], ensembles[1])
     curves = {}
     for flow in ("consumption", "bond"):
         yc = lrr_mod.yield_curves(

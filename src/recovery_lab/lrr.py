@@ -722,21 +722,27 @@ def _simulate_chunk(
     decay = np.exp(d.mu_11 * dt)  # the X1 propagator
     z = np.empty((loads.shape[1], n_paths))
     shocks = np.empty((loads.shape[0], n_paths))
+    along = np.empty_like(shocks)
+    # c1 and the shocks are updated in place, in the order of the formulas
+    c1_new, j2, term = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
     s22 = float(d.sigma_2 @ d.sigma_2)
     for step in range(1, n_steps + 1):
         x2, integral, y2 = square_root_step(x2, -d.mu_22 * i2, -d.mu_22, s22, dt, rng)
-        j2 = integral - i2 * dt  # integral of the centred volatility state
+        np.subtract(integral, i2 * dt, out=j2)  # integral of the centred X2
         rng.standard_normal(out=z)
         np.matmul(loads, z, out=shocks)
-        shocks *= np.sqrt(integral)
-        shocks += coef[:, None] * y2
-        c1_new = decay * c1 + (d.mu_12 * w1) * j2 + shocks[0]
+        shocks *= np.sqrt(integral, out=integral)
+        shocks += np.multiply(coef[:, None], y2, out=along)
+        # c1_new = decay c1 + mu_12 w1 j2 + shocks[0]
+        np.multiply(c1, decay, out=c1_new)
+        c1_new += np.multiply(j2, d.mu_12 * w1, out=term)
+        c1_new += shocks[0]
         if functionals:
             # integral of the centred X1 from its increment (the X1 equation)
             int_c1 = (c1_new - c1 - d.mu_12 * j2 - shocks[1]) / d.mu_11
             for idx, f in enumerate(functionals):
                 logs[idx] += f.b0 * dt + f.b1 * int_c1 + f.b2 * j2 + shocks[2 + idx]
-        c1 = c1_new
+        c1, c1_new = c1_new, c1
         if step in record_steps:
             snapshots[record_steps[step]] = [lg.copy() for lg in logs]
     return c1 + i1, x2, logs, snapshots

@@ -26,7 +26,6 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -76,7 +75,6 @@ __all__ = [
     "economy_from_dict",
     "economy_to_dict",
     "recovery_to_dict",
-    "load_economy",
 ]
 
 _ROW_SUM_TOL = 1e-12
@@ -1141,8 +1139,3 @@ def recovery_to_dict(recovered: RecoveredMeasure) -> dict:
         "p_hat": recovered.p_hat.entries,
         "h_increments": recovered.h_increments,
     }
-
-
-def load_economy(path) -> Union[MarkovPricingEconomy, PricingMatrix]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return economy_from_dict(json.load(fh))

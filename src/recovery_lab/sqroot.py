@@ -138,6 +138,16 @@ def _phi1(z: float) -> float:
     return float(np.expm1(z) / z) if z != 0.0 else 1.0
 
 
+def _transition(x: NDArray[np.float64], a: float, kappa: float, s2: float, h: float, rng):
+    """X_h given X_0 = x by the exact transition of ``square_root_step``."""
+    if s2 > 0.0 and h > 0.0:
+        c = 0.25 * s2 * h * _phi1(-kappa * h)
+        x_new = rng.noncentral_chisquare(4.0 * a / s2, x * (np.exp(-kappa * h) / c))
+        x_new *= c
+        return x_new
+    return x * np.exp(-kappa * h) + a * h * _phi1(-kappa * h)
+
+
 def square_root_step(
     x: NDArray[np.float64],
     a: float,
@@ -156,60 +166,43 @@ def square_root_step(
     (integral) that the endpoints and the integral imply.  With s2 = 0 the
     step is the deterministic mean.
     """
-    if s2 > 0.0:
-        c = 0.25 * s2 * h * _phi1(-kappa * h)
-        x_new = c * rng.noncentral_chisquare(4.0 * a / s2, x * (np.exp(-kappa * h) / c))
-    else:
-        x_new = x * np.exp(-kappa * h) + a * h * _phi1(-kappa * h)
-    integral = 0.5 * h * (x + x_new)
-    return x_new, integral, x_new - x - a * h + kappa * integral
+    x_new = _transition(x, a, kappa, s2, h, rng)
+    integral = x + x_new
+    integral *= 0.5 * h
+    increment = x_new - x
+    increment -= a * h
+    increment += kappa * integral
+    return x_new, integral, increment
 
 
-def _paths(
-    model: SquareRootModel,
-    kappa_eff: float,
-    horizon: float,
-    dt: float,
-    n_paths: int,
-    rng: np.random.Generator,
-    x0: float,
-    accumulate_sdf: bool,
+def _physical_paths(
+    model: SquareRootModel, n_steps: int, dt: float, n_paths: int, rng, x0: float
 ):
-    """Terminal X of an ensemble started at x0, plus log S_t under the physical
-    measure when ``accumulate_sdf``.
+    """Terminal X and log S_t, t = n_steps dt, of a physical ensemble started at x0.
 
-    The constant drift term stays kappa * mu_bar under every candidate
-    measure; only the linear mean-reversion coefficient changes.  log S is
-    deterministic given the endpoints and the integral I of X:
+    log S is deterministic given the endpoints and the integral I of X:
 
         log S_t = beta_bar t - alpha_bar^2 I / 2
                   + (alpha_bar / sigma_bar) (X_t - x0 - kappa mu_bar t + kappa I),
 
-    so only the integral needs the dt grid; without it the exact transition
-    spans the horizon in one step.
+    so only the integral needs the dt grid.  Its trapezoid rule is kept as
+    the running sum dt (x0 / 2 + X_dt + ... + X_t) - dt X_t / 2.
     """
-    n_steps = int(round(horizon / dt))
-    t_eff = n_steps * dt
+    t = n_steps * dt
     a = model.kappa * model.mu_bar
     x = np.full(n_paths, float(x0))
-    if not accumulate_sdf:
-        n_steps, dt = min(n_steps, 1), t_eff
-    integral = np.zeros(n_paths)
+    integral = 0.5 * x
     for _ in range(n_steps):
-        x, step_integral, _ = square_root_step(
-            x, a, kappa_eff, model.sigma_bar**2, dt, rng
-        )
-        integral += step_integral
-    log_s = None
-    if accumulate_sdf:
-        log_s = (
-            model.beta_bar * t_eff
-            - 0.5 * model.alpha_bar**2 * integral
-            + model.alpha_bar
-            / model.sigma_bar
-            * (x - x0 - a * t_eff + kappa_eff * integral)
-        )
-    return x, log_s, t_eff
+        x = _transition(x, a, model.kappa, model.sigma_bar**2, dt, rng)
+        integral += x
+    integral -= 0.5 * x
+    integral *= dt
+    log_s = (
+        model.beta_bar * t
+        - 0.5 * model.alpha_bar**2 * integral
+        + model.alpha_bar / model.sigma_bar * (x - x0 - a * t + model.kappa * integral)
+    )
+    return x, log_s
 
 
 def simulate(
@@ -236,18 +229,24 @@ def simulate(
     if dt <= 0:
         raise ValueError("dt must be positive")
     x_start = model.mu_bar if x0 is None else x0
+    n_steps = int(round(horizon / dt))
+    t_eff = n_steps * dt
     rng = np.random.default_rng(seed)
     if isinstance(measure, EigenCandidate):
-        kappa_eff = measure.kappa_new
-        x, _, _ = _paths(
-            model, kappa_eff, horizon, dt, n_paths, rng, x_start, False
+        # X alone needs no grid: one exact transition spans the horizon, with
+        # the candidate's mean reversion and the constant drift kappa mu_bar
+        x = _transition(
+            np.full(n_paths, float(x_start)),
+            model.kappa * model.mu_bar,
+            measure.kappa_new,
+            model.sigma_bar**2,
+            t_eff,
+            rng,
         )
         ok = np.isfinite(x)
         # companion physical ensemble for the martingale expectation
         rng_phys = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        xp, log_s, t_eff = _paths(
-            model, model.kappa, horizon, dt, n_paths, rng_phys, x_start, True
-        )
+        xp, log_s = _physical_paths(model, n_steps, dt, n_paths, rng_phys, x_start)
         mart = np.exp(
             -measure.eta * t_eff
             + log_s
@@ -265,9 +264,7 @@ def simulate(
         )
     if measure != "physical":
         raise ValueError("measure must be 'physical' or an EigenCandidate")
-    x, log_s, _ = _paths(
-        model, model.kappa, horizon, dt, n_paths, rng, x_start, True
-    )
+    x, log_s = _physical_paths(model, n_steps, dt, n_paths, rng, x_start)
     s = np.exp(log_s)
     ok = np.isfinite(x) & np.isfinite(s)
     return SimulationResult(

@@ -254,14 +254,15 @@ class TestLrr:
             assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
 
     def test_physical_law_simulated_once(self, tmp_path, monkeypatch):
-        # densities of three laws, and the recovered law again for the yield
-        # draws; the physical ensemble serves its density and its yields
+        # one ensemble per law, each at --seed; the P and P-hat ensembles
+        # serve their densities and the yield draws
         calls = count_calls(monkeypatch, lrr_mod, "simulate_states")
         assert cli.main(
-            ["lrr", "--out", str(tmp_path / "x"), "--override", "n_paths=200",
+            ["lrr", "--out", str(tmp_path / "x"), "--seed", "4", "--override", "n_paths=200",
              "--override", "burn_in=12", "--horizons", "12:24:12"]
         ) == 0
-        assert len(calls) == 4
+        assert len(calls) == 3
+        assert [call[4] for call in calls] == [4, 4, 4]
 
     def test_thread_cap_does_not_change_outputs(self, tmp_path, monkeypatch):
         args = lambda name: [

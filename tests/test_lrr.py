@@ -366,6 +366,44 @@ class TestStepper:
         assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
         assert np.all(x2 >= 0.0)
 
+    @pytest.mark.parametrize("n_functionals", [0, 2])
+    def test_chunk_matches_formula_loop(self, params, sdf, n_functionals):
+        # the in-place loop gives the formulas' results bit for bit; X1 is
+        # driven by X2 and its shock is correlated with X2's
+        d = lrr.StateDynamics(
+            mu_11=-0.021, mu_12=0.004, mu_22=-0.013, iota=(0.001, 1.0),
+            sigma_1=(0.0, 0.00034, 0.0002), sigma_2=(0.0, 0.0, -0.038),
+        )
+        functionals = [sdf, lrr.consumption_functional(params)][:n_functionals]
+        n, n_steps, dt = 300, 24, 1.0
+        start = np.array([0.003, 1.3])
+        got = lrr._simulate_chunk(
+            d, functionals, n_steps, dt, n, np.random.default_rng(3), start, {12: 12.0}
+        )
+        rng = np.random.default_rng(3)
+        i1, i2 = d.iota
+        c1, x2 = np.full(n, start[0] - i1), np.full(n, start[1])
+        logs = [np.zeros(n) for _ in functionals]
+        coef, loads, w1 = lrr._shock_loads(d, functionals, dt)
+        s22 = float(d.sigma_2 @ d.sigma_2)
+        for step in range(1, n_steps + 1):
+            x2, integral, y2 = lrr.square_root_step(x2, -d.mu_22 * i2, -d.mu_22, s22, dt, rng)
+            j2 = integral - i2 * dt
+            z = rng.standard_normal((loads.shape[1], n))
+            shocks = (loads @ z) * np.sqrt(integral) + coef[:, None] * y2
+            c1_new = np.exp(d.mu_11 * dt) * c1 + (d.mu_12 * w1) * j2 + shocks[0]
+            if functionals:
+                int_c1 = (c1_new - c1 - d.mu_12 * j2 - shocks[1]) / d.mu_11
+                for idx, f in enumerate(functionals):
+                    logs[idx] += f.b0 * dt + f.b1 * int_c1 + f.b2 * j2 + shocks[2 + idx]
+            c1 = c1_new
+            if step == 12:
+                snapshot = [lg.copy() for lg in logs]
+        np.testing.assert_array_equal(got[0], c1 + i1)
+        np.testing.assert_array_equal(got[1], x2)
+        for a, b in zip(got[2] + got[3][12.0], logs + snapshot):
+            np.testing.assert_array_equal(a, b)
+
     def test_horizon_off_the_step_grid_rejected(self, params):
         # half a month at the one-month default step used to round silently
         with pytest.raises(ValueError, match="multiple of the step"):

@@ -1,6 +1,7 @@
 """Tests for the square-root diffusion eigenfunction machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,83 @@ class TestSquareRootStep:
         sel = sq.select_ergodic(sq.eigen_candidates(m))
         runs = [sq.simulate(m, sel, 1.0, 1 / 50, 2_000, seed=6) for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+def reference_simulate(model, measure, horizon, dt, n_paths, seed, x0):
+    """``sq.simulate`` written out step by step: the exact noncentral
+    chi-square transition and the step's trapezoid added to the integral
+    (one transition over the horizon for a candidate's X)."""
+    n_steps = int(round(horizon / dt))
+    t = n_steps * dt
+    a, s2 = model.kappa * model.mu_bar, model.sigma_bar**2
+
+    def paths(kappa, h, steps, rng):
+        x = np.full(n_paths, x0)
+        integral = np.zeros(n_paths)
+        for _ in range(steps):
+            z = -kappa * h
+            c = 0.25 * s2 * h * (float(np.expm1(z) / z) if z != 0.0 else 1.0)
+            x_new = c * rng.noncentral_chisquare(4.0 * a / s2, x * (np.exp(-kappa * h) / c))
+            integral += 0.5 * h * (x + x_new)
+            x = x_new
+        log_s = (
+            model.beta_bar * t
+            - 0.5 * model.alpha_bar**2 * integral
+            + model.alpha_bar / model.sigma_bar * (x - x0 - a * t + model.kappa * integral)
+        )
+        return x, log_s
+
+    def mean_se(v):
+        ok = np.isfinite(v)
+        return float(np.mean(v[ok])), float(np.std(v[ok], ddof=1) / np.sqrt(ok.sum()))
+
+    rng = np.random.default_rng(seed)
+    if measure == "physical":
+        x, log_s = paths(model.kappa, dt, n_steps, rng)
+        checked = np.exp(log_s)
+    else:
+        x, _ = paths(measure.kappa_new, t, min(n_steps, 1), rng)
+        rng_phys = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+        xp, log_s = paths(model.kappa, dt, n_steps, rng_phys)
+        checked = np.exp(-measure.eta * t + log_s + measure.upsilon * (xp - x0))
+    assert np.all(np.isfinite(x))
+    return float(np.mean(x)), float(np.var(x, ddof=1)), mean_se(checked)
+
+
+class TestSimulateAgainstReference:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        kappa=st.floats(0.05, 0.8),
+        mu=st.floats(0.1, 1.0),
+        sigma=st.floats(0.2, 0.5),
+        alpha=st.floats(-1.0, 1.0),
+        x0=st.floats(0.0, 2.0),
+        horizon=st.sampled_from([0.001, 0.25, 1.0, 2.0]),  # 0.001: no step at all
+        dt=st.sampled_from([1 / 50, 1 / 12, 0.25]),
+        n_paths=st.integers(2, 200),
+        seed=st.integers(0, 2**32 - 1),
+        which=st.sampled_from(["physical", 0, 1]),
+    )
+    def test_matches_per_step_loop(
+        self, kappa, mu, sigma, alpha, x0, horizon, dt, n_paths, seed, which
+    ):
+        # terminal X bit for bit; S_t and the martingale to round-off, as the
+        # integral is summed in another order
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # origin attainable
+            m = make_model(kappa=kappa, alpha=alpha, sigma=sigma, mu=mu)
+        measure = which if which == "physical" else sq.eigen_candidates(m)[which]
+        res = sq.simulate(m, measure, horizon, dt, n_paths, seed, x0=x0)
+        x_mean, x_var, (mean, se) = reference_simulate(
+            m, measure, horizon, dt, n_paths, seed, x0
+        )
+        assert (res.x_mean, res.x_var) == (x_mean, x_var)
+        if which == "physical":
+            assert res.n_nan == 0
+            got = (res.discounted_bond_mean, res.discounted_bond_se)
+        else:
+            got = (res.martingale_mean, res.martingale_se)
+        np.testing.assert_allclose(got, (mean, se), rtol=1e-12, atol=0.0)
 
 
 class TestInterfaces:
