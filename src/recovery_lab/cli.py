@@ -12,18 +12,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage/input error, 2 mathematical-validity error.
 Outputs are plot-ready CSV/JSON files; reruns with the same config and seed
-are byte-identical.  The environment variable RECOVERY_LAB_THREADS caps the
-number of worker threads used for independent simulations (default 1).
+are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,24 +33,22 @@ from .exceptions import ModelValidityError
 __all__ = ["main"]
 
 
-def _max_threads() -> int:
-    raw = os.environ.get("RECOVERY_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+_CSV_BLOCK_ROWS = 4096
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns as a CSV table, each cell as ``%.12g``."""
-    np.savetxt(
-        path,
-        np.column_stack(columns),
-        fmt="%.12g",
-        delimiter=",",
-        header=",".join(header),
-        comments="",
-    )
+    """Write equal-length columns as a CSV table, each cell as ``%.12g``.
+
+    Byte for byte what ``np.savetxt`` writes, but each block of rows is
+    formatted by one ``%`` operation instead of one per row.
+    """
+    table = np.column_stack(columns)
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            block = table[lo : lo + _CSV_BLOCK_ROWS]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 # a numpy array in a JSON payload becomes this string plus its index until written
@@ -245,8 +240,14 @@ def run_lrr(args) -> int:
     else:
         params = lrr_mod.load_default_params()
     overrides = _parse_overrides(args.override)
-    sim_keys = {"n_paths": 10_000, "burn_in": 600.0, "dt": lrr_mod.DT_DEFAULT, "bins": 100}
-    sim = {k: type(v)(overrides.pop(k, v)) for k, v in sim_keys.items()}
+    # Monte Carlo settings of earlier versions, still accepted
+    ignored = [key for key in ("n_paths", "burn_in", "dt") if overrides.pop(key, None) is not None]
+    if ignored:
+        print(
+            f"note: {', '.join(ignored)} ignored; the stationary laws are computed exactly",
+            file=sys.stderr,
+        )
+    bins = int(overrides.pop("bins", 100))
     if overrides:
         params = lrr_mod.apply_overrides(params, overrides)
 
@@ -264,25 +265,8 @@ def run_lrr(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def simulate(job):
-        dyn, seed = job
-        return lrr_mod.simulate_states(
-            dyn, sim["burn_in"], sim["dt"], int(sim["n_paths"]), seed
-        )
-
-    # one stationary ensemble per law, all at --seed; the P and P-hat ones
-    # also supply the yield draws
-    jobs = [(dyn, args.seed) for dyn in dynamics.values()]
-    workers = min(_max_threads(), len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ensembles = list(pool.map(simulate, jobs))
-    else:
-        ensembles = list(map(simulate, jobs))
-    densities = {
-        name: lrr_mod.density_from_draws(*draws, bins=int(sim["bins"]))
-        for name, draws in zip(dynamics, ensembles)
-    }
+    laws = {name: lrr_mod.StationaryLaw(dyn) for name, dyn in dynamics.items()}
+    densities = {name: law.density(bins) for name, law in laws.items()}
     for name, result in densities.items():
         _write_csv(
             out / f"density_{name}.csv",
@@ -291,17 +275,10 @@ def run_lrr(args) -> int:
         )
 
     horizons = _parse_horizons(args.horizons or "12:1200:12")
-    draws = (ensembles[0], ensembles[1])
-    curves = {}
     for flow in ("consumption", "bond"):
         yc = lrr_mod.yield_curves(
-            params,
-            horizons,
-            cash_flow=flow,
-            seed=args.seed,
-            state_draws=draws,
+            params, horizons, cash_flow=flow, laws=(laws["p"], laws["p_hat"])
         )
-        curves[flow] = yc
         _write_csv(
             out / f"yields_{flow}.csv",
             [
@@ -342,7 +319,9 @@ def run_lrr(args) -> int:
             "density_means": {
                 name: densities[name].mean.tolist() for name in densities
             },
-            "density_n_nan": {name: densities[name].n_nan for name in densities},
+            "density_mass_outside_grid": {
+                name: densities[name].mass_outside_grid for name in densities
+            },
         },
     )
     return 0

@@ -82,6 +82,8 @@ __all__ = [
     "density_from_draws",
     "yield_curves",
     "cir_stationary_moments",
+    "stationary_moments",
+    "StationaryLaw",
     "params_from_dict",
     "params_to_dict",
 ]
@@ -662,11 +664,17 @@ def _corr_sqrt(rows: NDArray[np.float64]) -> NDArray[np.float64]:
     """A square root of the Gram matrix of the rows, with its null columns dropped.
 
     Only the joint law of the row shocks matters, so they are drawn from as
-    many standard normals as the rows have independent directions.
+    many standard normals as the rows have independent directions.  The
+    factor is the rows in an orthonormal basis of their span, V sqrt(W) for
+    the eigenpairs (W, V) of the Gram matrix written as rows @ basis: a
+    linear map applied to every row keeps linear relations between rows
+    (alpha_h = alpha_s + e1 sigma_1 + e2 sigma_2) to round-off, where the
+    eigenvector of a tiny eigenvalue, accurate only to eps |G| / w, would
+    break them.
     """
     w, v = np.linalg.eigh(rows @ rows.T)
     keep = w > rows.shape[0] * np.finfo(float).eps * w.max(initial=0.0)
-    return v[:, keep] * np.sqrt(w[keep])[None, :]
+    return rows @ (rows.T @ (v[:, keep] / np.sqrt(w[keep])[None, :]))
 
 
 _CHUNK_PATHS = 50_000  # keeps the working set cache-resident
@@ -804,12 +812,19 @@ def _simulate_core(
 
 @dataclass(frozen=True)
 class DensityResult:
+    """Moments and binned mass of (X1, X2) on a mean +/- 4 sd grid.
+
+    ``hist`` is normalised to the grid; ``mass_outside_grid`` is the share of
+    the law the grid leaves out, and ``n_nan`` counts dropped draws (always 0
+    for an exact law)."""
+
     mean: NDArray[np.float64]
     cov: NDArray[np.float64]
     hist: NDArray[np.float64]
     x1_edges: NDArray[np.float64]
     x2_edges: NDArray[np.float64]
-    n_nan: int
+    mass_outside_grid: float
+    n_nan: int = 0
 
 
 def simulate_states(
@@ -851,9 +866,16 @@ def density_from_draws(
     edges1 = np.linspace(mean[0] - 4 * sd[0], mean[0] + 4 * sd[0], bins + 1)
     edges2 = np.linspace(mean[1] - 4 * sd[1], mean[1] + 4 * sd[1], bins + 1)
     hist, _, _ = np.histogram2d(x1, x2, bins=[edges1, edges2])
-    hist /= hist.sum()
+    inside = hist.sum()
+    hist /= inside
     return DensityResult(
-        mean=mean, cov=cov, hist=hist, x1_edges=edges1, x2_edges=edges2, n_nan=n_nan
+        mean=mean,
+        cov=cov,
+        hist=hist,
+        x1_edges=edges1,
+        x2_edges=edges2,
+        mass_outside_grid=1.0 - inside / x1.size,
+        n_nan=n_nan,
     )
 
 
@@ -905,6 +927,330 @@ def cir_stationary_moments(dynamics: StateDynamics) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# stationary laws by transform inversion
+# ---------------------------------------------------------------------------
+
+_COS_HALF_WIDTH = 12.0  # expansion box: mean +/- this many standard deviations
+_COS_TERMS = 128  # cosine terms per axis of a density and per yield law
+_CHEB_NODES = 48  # first Chebyshev node count in u1 of a transform table
+_CHEB_MAX_NODES = 768  # node count past which a table that still misses raises
+_CHEB_TOL = 1e-10  # allowed miss between nodes: relative, times |mu_22 iota2 / R|
+_MAGNUS_STEPS = 256  # propagator steps of a transform table
+_STEP_BLOCK = 32  # propagator steps formed at once
+_STEP_GROWTH = 5.0  # a step grows like exp(-mu_11 t / _STEP_GROWTH)
+_TAIL = 1e-18  # size of the theta1-driven coefficients where the propagator stops
+_MASS_FLOOR = 1e-15  # bin masses at or below this are round-off, not mass
+_CHUNK_BYTES = 1 << 19  # bound on the largest temporaries of table look-ups and quantile solves
+
+
+def stationary_moments(dynamics: StateDynamics) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Exact stationary mean and covariance of (X1, X2).
+
+    The mean is iota, where the drift vanishes.  The covariance P solves the
+    Lyapunov equation M P + P M' + iota2 S S' = 0, with M the triangular drift
+    matrix [[mu_11, mu_12], [0, mu_22]] and S the rows sigma_1, sigma_2; the
+    triangular structure gives it entry by entry.
+    """
+    d = dynamics
+    i2 = float(d.iota[1])
+    s11 = float(d.sigma_1 @ d.sigma_1)
+    s12 = float(d.sigma_1 @ d.sigma_2)
+    s22 = float(d.sigma_2 @ d.sigma_2)
+    p22 = i2 * s22 / (-2.0 * d.mu_22)
+    p12 = -(d.mu_12 * p22 + i2 * s12) / (d.mu_11 + d.mu_22)
+    p11 = -(2.0 * d.mu_12 * p12 + i2 * s11) / (2.0 * d.mu_11)
+    return d.iota.copy(), np.array([[p11, p12], [p12, p22]])
+
+
+def _expm2(o11, o12, o21, o22):
+    """Entries of exp([[o11, o12], [o21, o22]]) for arrays of 2x2 matrices.
+
+    With h the half trace and N the traceless part, N^2 = delta I, so
+    exp = e^h (cosh(s) I + sinh(s)/s N), s^2 = delta, written with
+    e^(h +/- s) so that neither factor overflows alone.
+    """
+    half = 0.5 * (o11 + o22)
+    n11 = 0.5 * (o11 - o22)
+    delta = n11 * n11 + o12 * o21
+    s = np.sqrt(delta)
+    up, down = np.exp(half + s), np.exp(half - s)
+    cosh = 0.5 * (up + down)
+    small = np.abs(delta) < 1e-2  # sinh(s)/s by its series, without cancellation
+    series = np.exp(half) * (
+        1.0 + delta * (1 / 6 + delta * (1 / 120 + delta * (1 / 5040 + delta / 362880)))
+    )
+    sinhc = np.where(small, series, 0.5 * (up - down) / np.where(small, 1.0, s))
+    return cosh + sinhc * n11, sinhc * o12, sinhc * o21, cosh - sinhc * n11
+
+
+def _transform_nodes(d: StateDynamics, u1: NDArray[np.float64], steps: int):
+    """(log alpha, gamma) at frequencies u1 >= 0, by a 4th-order Magnus propagator.
+
+    The exponent ODE started at (i u1, i u2) has theta1 = i u1 e^{mu_11 t};
+    with R = |sigma_2|^2 / 2, theta2 = -w' / (R w) turns its Riccati equation
+    into the linear w'' = B(t) w' - R C(t) w, where B = mu_22 + s12 theta1
+    and C = theta1 (mu_12 + s11 theta1 / 2).  Only w'(0) = -i R u2 depends on
+    u2, so w = a + u2 b for two solutions a, b fixed by u1, and
+    w(inf) = alpha (1 + gamma u2).  The steps are uniform in
+    1 - exp(mu_11 t / _STEP_GROWTH), so they lengthen as theta1 decays; past
+    the last step B and C are constant and w(inf) = w - w' / B.  log a is
+    summed step by step on a continuous branch.
+    """
+    s11 = float(d.sigma_1 @ d.sigma_1)
+    s12 = float(d.sigma_1 @ d.sigma_2)
+    r = 0.5 * float(d.sigma_2 @ d.sigma_2)
+    u_max = float(np.max(u1, initial=0.0))
+    scale = max(abs(s12), r * abs(d.mu_12), r * s11 * u_max) * u_max / -d.mu_11
+    t_end = max(np.log(scale / _TAIL), 0.0) / -d.mu_11 if scale > 0.0 else 0.0
+    grid = np.linspace(0.0, -np.expm1(d.mu_11 * t_end / _STEP_GROWTH), steps + 1)
+    t = _STEP_GROWTH * np.log1p(-grid) / d.mu_11
+    # (a, a') and (b, b') divided by a after each step; a(0) = 1, b'(0) = -i R
+    log_a = np.zeros(u1.shape, dtype=complex)
+    a1 = np.zeros(u1.shape, dtype=complex)
+    b0 = np.zeros(u1.shape, dtype=complex)
+    b1 = np.full(u1.shape, -1j * r)
+    for lo in range(0, steps, _STEP_BLOCK):  # step propagators a block at a time
+        h = np.diff(t[lo : lo + _STEP_BLOCK + 1])[:, None]
+        mid = t[lo : lo + h.shape[0], None] + 0.5 * h
+        off = h * (np.sqrt(3.0) / 6.0)  # the two Gauss-Legendre points
+        th_a = 1j * u1 * np.exp(d.mu_11 * (mid - off))
+        th_b = 1j * u1 * np.exp(d.mu_11 * (mid + off))
+        b_a, b_b = d.mu_22 + s12 * th_a, d.mu_22 + s12 * th_b
+        c_a = -r * th_a * (d.mu_12 + 0.5 * s11 * th_a)
+        c_b = -r * th_b * (d.mu_12 + 0.5 * s11 * th_b)
+        # Omega = h (A_a + A_b) / 2 + sqrt(3) h^2 / 12 [A_b, A_a], A = [[0, 1], [c, b]]
+        k = (np.sqrt(3.0) / 12.0) * h * h
+        o11 = k * (c_a - c_b)
+        o12 = h + k * (b_a - b_b)
+        o21 = 0.5 * h * (c_a + c_b) + k * (b_b * c_a - b_a * c_b)
+        o22 = 0.5 * h * (b_a + b_b) - o11
+        e11, e12, e21, e22 = _expm2(o11, o12, o21, o22)
+        for n in range(h.shape[0]):
+            a0 = e11[n] + e12[n] * a1
+            a1, b0, b1 = (e21[n] + e22[n] * a1) / a0, (e11[n] * b0 + e12[n] * b1) / a0, (
+                e21[n] * b0 + e22[n] * b1
+            ) / a0
+            log_a += np.log(a0)
+    b_end = d.mu_22 + s12 * 1j * u1 * np.exp(d.mu_11 * t_end)
+    a_inf = 1.0 - a1 / b_end
+    return log_a + np.log(a_inf), (b0 - b1 / b_end) / a_inf
+
+
+class StationaryLaw:
+    """The stationary law of (X1, X2) under one set of affine dynamics, exactly.
+
+    Its characteristic function comes from the exponent ODE run to
+    t = infinity from a complex loading (Duffie, Pan & Singleton 2000):
+
+        log phi(u1, u2) = i u1 (iota1 + mu_12 iota2 / mu_11)
+                          + (mu_22 iota2 / R) [log alpha(u1) + Log(1 + gamma(u1) u2)],
+
+    exact in u2 (at u1 = 0 it is the Gamma law of X2).  (log alpha, gamma) are
+    tabulated once per law at Chebyshev nodes in u1 (``_transform_nodes``),
+    doubled from ``_CHEB_NODES`` until the series matches the propagator
+    between its nodes, and interpolated.  A cosine expansion on the box
+    mean +/- 12 sd inverts it (Fang & Oosterlee 2008): in 2-D for the bin
+    masses, with ``_COS_TERMS / sqrt(1 - rho^2)`` terms per axis so that a
+    correlated law's ridge is resolved, and in 1-D with ``_COS_TERMS`` terms
+    along each loading for the quantiles of c1 X1 + c2 X2.  A 1-D law spans
+    at least sqrt(1 - rho^2) |c1| sd(X1) per sd, so its top u1 is at most
+    (_COS_TERMS - 1) pi / (width of X1 sqrt(1 - rho^2)), inside the table.
+    Nothing is random.
+    """
+
+    def __init__(self, dynamics: StateDynamics):
+        self.dynamics = d = dynamics
+        self.terms = terms = _COS_TERMS
+        self.mean, self.cov = stationary_moments(d)
+        var = np.diag(self.cov)
+        if not np.all(var > 0.0):
+            raise ModelValidityError(
+                f"stationary law is degenerate (variances {var[0]:.3e}, {var[1]:.3e})"
+            )
+        one_m_rho2 = 1.0 - self.cov[0, 1] ** 2 / (var[0] * var[1])
+        if not one_m_rho2 > 0.0:
+            raise ModelValidityError("X1 and X2 are perfectly correlated in the stationary law")
+        sd = np.sqrt(var)
+        self.lower = self.mean - _COS_HALF_WIDTH * sd
+        self.lower[1] = max(self.lower[1], 0.0)  # X2 >= 0
+        self.upper = self.mean + _COS_HALF_WIDTH * sd
+        r = 0.5 * float(d.sigma_2 @ d.sigma_2)
+        self._kappa = d.mu_22 * d.iota[1] / r
+        self._drift = d.iota[0] + d.mu_12 * d.iota[1] / d.mu_11
+        # a correlated law is a ridge across the box: more terms resolve it
+        spread = np.sqrt(one_m_rho2)
+        self.grid_terms = int(np.ceil(terms / spread))
+        width1 = self.upper[0] - self.lower[0]
+        # the top u1 of the 2-D grid and of any 1-D law
+        self._u_max = np.pi * max((self.grid_terms - 1) / width1, (terms - 1) / (width1 * spread))
+        # Chebyshev series of Re/Im log alpha and Re/Im gamma, one row each,
+        # with nodes doubled until it meets the propagator between its nodes
+        nodes = _CHEB_NODES
+        while True:
+            x = np.cos(np.pi * (np.arange(nodes) + 0.5) / nodes)
+            between = np.cos(np.pi * np.arange(1, nodes) / nodes)
+            u1 = 0.5 * self._u_max * (1.0 + np.concatenate([x, between]))
+            log_alpha, gamma = _transform_nodes(d, u1, _MAGNUS_STEPS)
+            vals = np.stack([log_alpha.real, log_alpha.imag, gamma.real, gamma.imag])
+            basis = np.cos(np.outer(np.arange(nodes), np.arccos(x)))
+            self._cheb = (2.0 / nodes) * vals[:, :nodes] @ basis.T
+            self._cheb[:, 0] *= 0.5
+            fit_alpha, fit_gamma = self._table(u1[nodes:])
+            log_alpha, gamma = log_alpha[nodes:], gamma[nodes:]
+            miss = abs(self._kappa) * max(
+                np.max(np.abs(fit_alpha - log_alpha) / np.maximum(np.abs(log_alpha), 1.0)),
+                np.max(np.abs(fit_gamma - gamma) / np.abs(gamma)),
+            )
+            if miss <= _CHEB_TOL:
+                break
+            if nodes >= _CHEB_MAX_NODES:
+                raise ModelValidityError(
+                    f"transform table not resolved: relative error {miss:.1e} at {nodes} nodes"
+                )
+            nodes *= 2
+
+    def _table(self, u1: NDArray[np.float64]):
+        """(log alpha, gamma) at u1 in [0, u_max], by Chebyshev series in chunks."""
+        x = (2.0 / self._u_max) * u1.ravel() - 1.0
+        out = np.empty((4, x.size))
+        n = self._cheb.shape[1]
+        chunk = max(_CHUNK_BYTES // (8 * n), 1)
+        cheb = np.empty((n, min(chunk, x.size)))
+        for lo in range(0, x.size, chunk):
+            xs = x[lo : lo + chunk]
+            twice = 2.0 * xs
+            t = cheb[:, : xs.size]
+            t[0] = 1.0
+            t[1] = xs
+            for k in range(2, n):
+                np.multiply(twice, t[k - 1], out=t[k])
+                t[k] -= t[k - 2]
+            out[:, lo : lo + xs.size] = self._cheb @ t
+        shape = u1.shape
+        return (out[0] + 1j * out[1]).reshape(shape), (out[2] + 1j * out[3]).reshape(shape)
+
+    def log_cf(self, u1, u2) -> NDArray[np.complex128]:
+        """log E exp(i u1 X1 + i u2 X2) at 0 <= u1 <= u_max and any real u2."""
+        u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
+        if np.any(u1 < 0.0) or np.any(u1 > self._u_max * (1.0 + 1e-12)):
+            raise ValueError("u1 outside the transform table")
+        log_alpha, gamma = self._table(u1)  # at u1's own shape, before broadcasting
+        return 1j * u1 * self._drift + self._kappa * (log_alpha + np.log1p(gamma * u2))
+
+    def bin_masses(self, x1_edges, x2_edges) -> NDArray[np.float64]:
+        """Probability of each cell of the grid, by a 2-D cosine expansion.
+
+        A cosine integrates exactly over a cell; cells are clipped to the
+        expansion box, outside which the law has no mass to round-off.  The
+        coefficients are formed a block of u1 rows at a time.
+        """
+        width = self.upper - self.lower
+        freq = np.arange(self.grid_terms) * np.pi / width[:, None]  # (2, grid_terms)
+        cells = []
+        for axis, edges in enumerate((x1_edges, x2_edges)):
+            x = np.clip(np.asarray(edges, dtype=float), self.lower[axis], self.upper[axis])
+            x -= self.lower[axis]
+            f = freq[axis][1:, None]
+            sines = np.sin(f * x[None, :]) / f
+            cells.append(np.vstack([np.diff(x)[None, :], np.diff(sines, axis=1)]))
+        half = np.ones(self.grid_terms)
+        half[0] = 0.5  # the k = 0 term of a cosine series counts half
+        w2 = freq[1][None, :]
+        turn = np.exp(-1j * w2 * self.lower[1])
+        mass = np.zeros((cells[0].shape[1], cells[1].shape[1]))
+        block = max(_CHUNK_BYTES // (16 * self.grid_terms), 1)
+        for lo in range(0, self.grid_terms, block):
+            w1 = freq[0][lo : lo + block, None]
+            shift = np.exp(-1j * w1 * self.lower[0])
+            coef = (np.exp(self.log_cf(w1, w2)) * turn * shift).real
+            coef += (np.exp(self.log_cf(w1, -w2)) * np.conj(turn) * shift).real
+            coef *= (2.0 / (width[0] * width[1])) * half[lo : lo + block, None] * half[None, :]
+            mass += cells[0][lo : lo + block].T @ coef @ cells[1]
+        return mass
+
+    def density(self, bins: int = 100) -> DensityResult:
+        """Bin masses on the mean +/- 4 sd grid, normalised to the grid.
+
+        Masses at round-off level (``_MASS_FLOOR``) are set to zero.
+        """
+        sd = np.sqrt(np.diag(self.cov))
+        edges = [np.linspace(m - 4 * s, m + 4 * s, bins + 1) for m, s in zip(self.mean, sd)]
+        mass = self.bin_masses(*edges)
+        inside = float(mass.sum())
+        mass[mass <= _MASS_FLOOR] = 0.0
+        return DensityResult(
+            mean=self.mean.copy(),
+            cov=self.cov.copy(),
+            hist=mass / mass.sum(),
+            x1_edges=edges[0],
+            x2_edges=edges[1],
+            mass_outside_grid=max(1.0 - inside, 0.0),
+        )
+
+    def quantiles(self, loadings, probs) -> NDArray[np.float64]:
+        """Quantiles at ``probs`` of c1 X1 + c2 X2 for each row (c1, c2) of
+        ``loadings``, shape (rows, len(probs)).
+
+        Each row's law is a 1-D cosine expansion on its own mean +/- 12 sd, with
+        phi_Y(v) = phi(v c1, v c2) (conjugated for c1 < 0); its CDF is solved
+        by Newton steps kept inside a bisection bracket.  A row of zero
+        variance returns its point value.
+        """
+        c = np.atleast_2d(np.asarray(loadings, dtype=float))
+        probs = np.asarray(probs, dtype=float)
+        if np.any((probs <= 0.0) | (probs >= 1.0)):
+            raise ValueError("probabilities must lie strictly between 0 and 1")
+        mean = c @ self.mean
+        sd = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", c, self.cov, c), 0.0))
+        out = np.repeat(mean[:, None], probs.size, axis=1)
+        live = np.flatnonzero(sd > 0.0)
+        k = np.arange(self.terms)
+        chunk = max(_CHUNK_BYTES // (24 * self.terms * probs.size), 1)
+        for lo in range(0, live.size, chunk):
+            rows = live[lo : lo + chunk]
+            width = 2.0 * _COS_HALF_WIDTH * sd[rows]
+            freq = k[None, :] * (np.pi / width[:, None])  # (rows, terms)
+            flip = np.where(c[rows, 0] < 0.0, -1.0, 1.0)[:, None]
+            # at most u_max by the bound in the class docstring, up to round-off
+            u1 = np.minimum(freq * np.abs(c[rows, :1]), self._u_max)
+            log_cf = self.log_cf(u1, freq * c[rows, 1:] * flip)
+            log_cf = np.where(flip < 0.0, np.conj(log_cf), log_cf)
+            start = (mean[rows] - 0.5 * width)[:, None]
+            coef = (2.0 / width[:, None]) * np.exp(log_cf - 1j * freq * start).real
+            coef[:, 0] *= 0.5
+            out[rows] += self._invert_cdf(coef, freq, width, probs) - 0.5 * width[:, None]
+        return out
+
+    @staticmethod
+    def _invert_cdf(coef, freq, width, probs):
+        """x in [0, width] with sum_k coef_k int_0^x cos(freq_k s) ds = p, per row and p.
+
+        Newton from the middle, each step kept inside the bracket the CDF
+        values so far give (bisection otherwise), until a step is below
+        1e-13 of the width.
+        """
+        lo = np.zeros((width.size, probs.size))
+        hi = np.repeat(width[:, None], probs.size, axis=1)
+        x = 0.5 * hi
+        f = freq[:, None, 1:]
+        a = coef[:, None, 1:]
+        for _ in range(100):
+            wave = np.exp(1j * f * x[:, :, None])
+            cdf = coef[:, None, 0] * x + np.sum(a * wave.imag / f, axis=2)
+            pdf = coef[:, None, 0] + np.sum(a * wave.real, axis=2)
+            below = cdf < probs
+            lo = np.where(below, x, lo)
+            hi = np.where(below, hi, x)
+            nxt = x + (probs - cdf) / np.where(pdf > 0.0, pdf, np.inf)
+            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            step = np.abs(nxt - x)
+            x = nxt
+            if np.all(step <= 1e-13 * width[:, None]):
+                break
+        return x
+
+
+# ---------------------------------------------------------------------------
 # yields
 # ---------------------------------------------------------------------------
 
@@ -924,63 +1270,77 @@ class YieldCurves:
     eta_hat: float
 
 
+def _exponents(
+    functional: AffineFunctional, dynamics: StateDynamics, horizons: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """(theta0, theta1, theta2) of E[M_t | x] at each horizon, one row each;
+    zero, without an ODE solve, for the unit functional."""
+    f = functional
+    if f.b0 == f.b1 == f.b2 == 0.0 and not np.any(f.alpha):
+        return np.zeros((horizons.size, 3))
+    ode = solve_affine_ode(f, dynamics, float(horizons[-1]))
+    return np.array([ode.evaluate(t) for t in horizons])
+
+
+def _yield_laws(params: LrrParams, horizons: NDArray[np.float64], cash_flow: str):
+    """Per measure (P, then P-hat): its dynamics and the horizon-t yield as
+    (c0 + c1 x1 + c2 x2) / t, as intercepts c0 and loadings (c1, c2)."""
+    value = solve_value_function(params)
+    sdf = sdf_coefficients(params, value)
+    pf = solve_pf(params, sdf)
+    cm = changed_measure(params, pf)
+    g = consumption_functional(params) if cash_flow == "consumption" else unit_functional()
+    g_hat = change_functional_measure(g, params, pf.alpha_h, cm)
+    dyn_p, dyn_hat = params.dynamics(), cm.dynamics(params)
+    price = _exponents(add_functionals(sdf, g), dyn_p, horizons)
+    out = []
+    for forecast, dyn in ((g, dyn_p), (g_hat, dyn_hat)):
+        th = _exponents(forecast, dyn, horizons) - price
+        out.append((dyn, th[:, 0], th[:, 1:]))
+    return pf, out
+
+
+def _same_dynamics(a: StateDynamics, b: StateDynamics) -> bool:
+    return (a.mu_11, a.mu_12, a.mu_22) == (b.mu_11, b.mu_12, b.mu_22) and all(
+        np.array_equal(getattr(a, k), getattr(b, k)) for k in ("iota", "sigma_1", "sigma_2")
+    )
+
+
 def yield_curves(
     params: LrrParams,
     horizons: Sequence[float],
     cash_flow: str = "consumption",
-    n_paths: int = 20_000,
-    burn_in: float = 600.0,
-    dt: float = DT_DEFAULT,
-    seed: int = 0,
-    state_draws=None,
+    laws: Optional[Sequence[StationaryLaw]] = None,
 ) -> YieldCurves:
     """Yield curves on a growing or riskless cash flow under P and P-hat.
 
     The horizon-t yield in state x is (1/t) [log E_m(G_t | x)
     - log E(S_t G_t | x)], annualized.  The price in the denominator is the
     same under both measures; the forecast in the numerator uses the measure
-    attached to each curve, and the states x are drawn from that measure's
-    stationary law.  ``state_draws`` may supply precomputed draws as a pair
-    ((x1_p, x2_p), (x1_hat, x2_hat)) to share across cash flows.
+    attached to each curve.  Both are affine in x, so each quartile over
+    that measure's stationary law is exact (``StationaryLaw.quantiles``);
+    nothing is simulated.  ``laws`` may pass the stationary laws (P, P-hat)
+    of these parameters, already built for their densities, so that their
+    transform tables are built once.
     """
     if cash_flow not in ("consumption", "bond"):
         raise ValueError("cash_flow must be 'consumption' or 'bond'")
     horizons = np.asarray(sorted(horizons), dtype=float)
     if np.any(horizons <= 0):
         raise ValueError("horizons must be positive")
-    value = solve_value_function(params)
-    sdf = sdf_coefficients(params, value)
-    pf = solve_pf(params, sdf)
-    cm = changed_measure(params, pf)
-    dyn_p = params.dynamics()
-    dyn_hat = cm.dynamics(params)
-
-    g = consumption_functional(params) if cash_flow == "consumption" else unit_functional()
-    g_hat = change_functional_measure(g, params, pf.alpha_h, cm)
-    t_max = float(horizons[-1])
-    th_g = solve_affine_ode(g, dyn_p, t_max)
-    th_price = solve_affine_ode(add_functionals(sdf, g), dyn_p, t_max)
-    th_g_hat = solve_affine_ode(g_hat, dyn_hat, t_max)
-
-    if state_draws is None:
-        x1p, x2p = simulate_states(dyn_p, burn_in, dt, n_paths, seed)
-        x1h, x2h = simulate_states(dyn_hat, burn_in, dt, n_paths, seed + 1)
-    else:
-        (x1p, x2p), (x1h, x2h) = state_draws
-
-    q_p = np.empty((3, horizons.size))
-    q_hat = np.empty((3, horizons.size))
-    for k, t in enumerate(horizons):
-        log_price = th_price.log_expectation_at(t, x1p, x2p)
-        y_p = (th_g.log_expectation_at(t, x1p, x2p) - log_price) / t
-        log_price_hat = th_price.log_expectation_at(t, x1h, x2h)
-        y_hat = (th_g_hat.log_expectation_at(t, x1h, x2h) - log_price_hat) / t
-        q_p[:, k] = np.quantile(y_p, [0.25, 0.5, 0.75]) * MONTHS_PER_YEAR
-        q_hat[:, k] = np.quantile(y_hat, [0.25, 0.5, 0.75]) * MONTHS_PER_YEAR
+    pf, per_measure = _yield_laws(params, horizons, cash_flow)
+    if laws is None:
+        laws = [StationaryLaw(dyn) for dyn, _, _ in per_measure]
+    quartiles = []
+    for law, (dyn, intercept, loadings) in zip(laws, per_measure):
+        if not _same_dynamics(law.dynamics, dyn):
+            raise ValueError("the stationary laws passed are not those of these parameters")
+        q = intercept[:, None] + law.quantiles(loadings, [0.25, 0.5, 0.75])
+        quartiles.append(q.T * (MONTHS_PER_YEAR / horizons))
     return YieldCurves(
         horizons=horizons,
-        quartiles_p=q_p,
-        quartiles_p_hat=q_hat,
+        quartiles_p=quartiles[0],
+        quartiles_p_hat=quartiles[1],
         eta_hat=pf.eta_hat,
     )
 

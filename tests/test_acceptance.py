@@ -198,19 +198,33 @@ def test_c08_affine_ode_oracle_gate(affine_gate):
         assert abs(z) <= 3.0, f"horizon {t}: MC {mean} vs ODE {exact} ({z:+.2f} se)"
 
 
-def test_c06_lrr_pipeline(lrr_bundle, affine_gate):
-    params, value, sdf, pf, cm = lrr_bundle
+ENSEMBLE_PATHS = 100_000
+
+
+@pytest.fixture(scope="module")
+def stationary_ensembles(lrr_bundle):
+    """Criterion 6's stationary ensembles (P at seed 5, P-hat at seed 6, one
+    draw per path after a 600-month burn-in), shared with the exact-law check
+    so that it simulates nothing of its own; and their simulation time."""
+    params, _, _, _, cm = lrr_bundle
     start = time.perf_counter()
+    draws = {
+        name: lrr.simulate_states(dyn, 600.0, MC_DT, ENSEMBLE_PATHS, seed)
+        for name, dyn, seed in (("p", params.dynamics(), 5), ("p_hat", cm.dynamics(params), 6))
+    }
+    return draws, time.perf_counter() - start
+
+
+def test_c06_lrr_pipeline(lrr_bundle, affine_gate, stationary_ensembles):
+    params, value, sdf, pf, cm = lrr_bundle
+    draws, simulated_s = stationary_ensembles
+    start = time.perf_counter() - simulated_s
     d_ok = value.discriminant > 0
     root_ok = pf.eta_hat < pf.eta_other and cm.mu_22 < 0
 
-    n_paths = 100_000
-    dens_p = lrr.stationary_density(
-        params.dynamics(), n_paths=n_paths, burn_in=600.0, seed=5, dt=MC_DT
-    )
-    dens_hat = lrr.stationary_density(
-        cm.dynamics(params), n_paths=n_paths, burn_in=600.0, seed=6, dt=MC_DT
-    )
+    n_paths = ENSEMBLE_PATHS
+    dens_p = lrr.density_from_draws(*draws["p"])
+    dens_hat = lrr.density_from_draws(*draws["p_hat"])
     mean_t, var_t = lrr.cir_stationary_moments(params.dynamics())
     se_mean_p = np.sqrt(dens_p.cov[1, 1] / n_paths)
     se_var_p = dens_p.cov[1, 1] * np.sqrt(2.0 / n_paths)
@@ -236,9 +250,7 @@ def test_c07_lrr_yields(lrr_bundle, affine_gate):
     params, _, _, pf, _ = lrr_bundle
     horizons = list(range(12, 1201, 12))
     curves = {
-        flow: lrr.yield_curves(
-            params, horizons, cash_flow=flow, n_paths=20_000, dt=MC_DT, seed=11
-        )
+        flow: lrr.yield_curves(params, horizons, cash_flow=flow)
         for flow in ("consumption", "bond")
     }
     target = -pf.eta_hat * lrr.MONTHS_PER_YEAR
@@ -263,6 +275,52 @@ def test_c07_lrr_yields(lrr_bundle, affine_gate):
     # months).  Keeping the stated tolerance; see the yield-curve tests for
     # the convergence itself.
     assert err_p <= 1e-4
+
+
+def test_exact_stationary_laws_match_ensembles(lrr_bundle, affine_gate, stationary_ensembles):
+    # the transform-inverted laws behind `recovery-lab lrr` against criterion
+    # 6's ensembles: bin masses above 1e-4 (binomial z-scores) and the yield
+    # quartiles of both flows at all 100 horizons (order-statistic standard
+    # errors, with the density at the quartile taken from the exact law)
+    params, _, _, _, cm = lrr_bundle
+    draws, _ = stationary_ensembles
+    n = ENSEMBLE_PATHS
+    laws = {
+        "p": lrr.StationaryLaw(params.dynamics()),
+        "p_hat": lrr.StationaryLaw(cm.dynamics(params)),
+    }
+    for name, law in laws.items():
+        grid = law.density()
+        mass = law.bin_masses(grid.x1_edges, grid.x2_edges)
+        counts, _, _ = np.histogram2d(*draws[name], bins=[grid.x1_edges, grid.x2_edges])
+        big = mass > 1e-4
+        z = (counts[big] / n - mass[big]) / np.sqrt(mass[big] * (1.0 - mass[big]) / n)
+        rms = float(np.sqrt(np.mean(z * z)))
+        print(f"{name}: {big.sum()} bins, rms z {rms:.3f}, max |z| {np.abs(z).max():.2f}")
+        assert 0.9 <= rms <= 1.1, (name, rms)
+        assert np.abs(z).max() <= 5.0, name
+
+    probs = np.array([0.25, 0.5, 0.75])
+    side = np.array([-0.005, 0.005])
+    horizons = np.arange(12.0, 1201.0, 12.0)
+    for flow in ("consumption", "bond"):
+        curves = lrr.yield_curves(params, horizons, flow, laws=(laws["p"], laws["p_hat"]))
+        _, per_measure = lrr._yield_laws(params, horizons, flow)
+        for name, exact, (_, intercept, loadings) in zip(
+            ("p", "p_hat"), (curves.quartiles_p, curves.quartiles_p_hat), per_measure
+        ):
+            x1, x2 = draws[name]
+            near = laws[name].quantiles(loadings, (probs[:, None] + side).ravel())
+            density = (side[1] - side[0]) / np.diff(near.reshape(-1, 3, 2), axis=2)[:, :, 0]
+            se = np.sqrt(probs * (1.0 - probs) / n) / density
+            worst = 0.0
+            for k, t in enumerate(horizons):
+                y = intercept[k] + loadings[k, 0] * x1 + loadings[k, 1] * x2
+                sampled = np.quantile(y, probs) * lrr.MONTHS_PER_YEAR / t
+                z = (sampled - exact[:, k]) / (se[k] * lrr.MONTHS_PER_YEAR / t)
+                worst = max(worst, float(np.abs(z).max()))
+            print(f"{flow} yields under {name}: max |z| {worst:.2f} over {horizons.size} horizons")
+            assert worst <= 5.0, (flow, name, worst)
 
 
 def test_c09_discrepancy_bounds(power_economy, recursive_economy):

@@ -80,6 +80,19 @@ def test_write_json_matches_json_dump_of_lists(tmp_path):
     assert (tmp_path / "t.json").read_bytes() == expected.encode()
 
 
+def test_write_csv_matches_savetxt(tmp_path):
+    # more rows than one formatting block, with integer and special values
+    rng = np.random.default_rng(2)
+    n = cli._CSV_BLOCK_ROWS + 5
+    wide = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    cols = [wide, np.arange(n), rng.random(n)]
+    cols[0][:4] = [np.nan, np.inf, -0.0, 5e-324]
+    cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], cols)
+    np.savetxt(tmp_path / "ref.csv", np.column_stack(cols), fmt="%.12g", delimiter=",",
+               header="a,b,c", comments="")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_write_csv_cells_match_python_format(tmp_path):
     floats = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0])
     ints = np.arange(floats.size) * 10**6 - 3
@@ -215,8 +228,14 @@ class TestLrr:
         summary = json.loads((out / "lrr_summary.json").read_text())
         assert summary["pf"]["eta_hat"] < 0
         assert summary["changed_measure"]["mu_22"] < 0
-        # X2 >= 0 by construction of its transitions, so no path is dropped
-        assert summary["density_n_nan"] == {"p": 0, "p_hat": 0, "risk_neutral": 0}
+        # the exact share of each law beyond its mean +/- 4 sd grid
+        outside = summary["density_mass_outside_grid"]
+        assert set(outside) == {"p", "p_hat", "risk_neutral"}
+        assert all(0.0 < share < 1e-2 for share in outside.values())
+        for name in outside:
+            _, rows = read_csv(out / f"density_{name}.csv")
+            assert np.all(rows[:, 2] > 0.0)
+            assert rows[:, 2].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_gamma_one_still_has_martingale_component(self, tmp_path):
         # consumption carries a permanent component, so even log utility
@@ -253,31 +272,30 @@ class TestLrr:
         for f in ("density_p.csv", "yields_bond.csv", "lrr_summary.json"):
             assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
 
-    def test_physical_law_simulated_once(self, tmp_path, monkeypatch):
-        # one ensemble per law, each at --seed; the P and P-hat ensembles
-        # serve their densities and the yield draws
-        calls = count_calls(monkeypatch, lrr_mod, "simulate_states")
-        assert cli.main(
-            ["lrr", "--out", str(tmp_path / "x"), "--seed", "4", "--override", "n_paths=200",
-             "--override", "burn_in=12", "--horizons", "12:24:12"]
-        ) == 0
-        assert len(calls) == 3
-        assert [call[4] for call in calls] == [4, 4, 4]
+    def test_draws_no_random_numbers(self, tmp_path, monkeypatch, capsys):
+        # the stationary laws and the yield quartiles are computed, not
+        # simulated, so the outputs do not depend on --seed; the Monte Carlo
+        # overrides of earlier versions are accepted and ignored with a note
+        def no_rng(*args, **kwargs):
+            raise AssertionError("recovery-lab lrr drew random numbers")
 
-    def test_thread_cap_does_not_change_outputs(self, tmp_path, monkeypatch):
-        args = lambda name: [
-            "lrr", "--out", str(tmp_path / name), "--seed", "3",
-            "--override", "n_paths=500", "--override", "burn_in=50",
-            "--horizons", "12:24:12",
-        ]
-        monkeypatch.setenv("RECOVERY_LAB_THREADS", "1")
-        assert cli.main(args("serial")) == 0
-        monkeypatch.setenv("RECOVERY_LAB_THREADS", "3")
-        assert cli.main(args("pooled")) == 0
-        for f in ("density_p.csv", "density_p_hat.csv", "lrr_summary.json"):
-            assert (tmp_path / "serial" / f).read_bytes() == (
-                tmp_path / "pooled" / f
-            ).read_bytes()
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        for seed in ("4", "5"):
+            assert cli.main(
+                ["lrr", "--out", str(tmp_path / seed), "--seed", seed, "--override", "n_paths=200",
+                 "--override", "burn_in=12", "--horizons", "12:24:12"]
+            ) == 0
+        assert capsys.readouterr().err.count("n_paths, burn_in ignored") == 2
+        for f in ("density_p.csv", "density_p_hat.csv", "density_risk_neutral.csv",
+                  "yields_consumption.csv", "yields_bond.csv", "lrr_summary.json"):
+            assert (tmp_path / "4" / f).read_bytes() == (tmp_path / "5" / f).read_bytes()
+
+    def test_degenerate_volatility_factor_exit_two(self, tmp_path):
+        # X2 without shocks has a point-mass stationary law: no density
+        assert cli.main(
+            ["lrr", "--out", str(tmp_path / "x"), "--override", "sigma_2=0,0,0",
+             "--horizons", "12:24:12"]
+        ) == 2
 
 
 class TestBounds:

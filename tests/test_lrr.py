@@ -22,6 +22,7 @@ from recovery_lab.exceptions import (
 )
 
 MC_DT = 1.0  # one month, the natural step of the exact square-root transitions
+IDENTITY_C = 8.0  # round-off allowance of the pathwise identity, in eps per unit of sum|terms|
 
 
 @pytest.fixture(scope="module")
@@ -286,24 +287,45 @@ class TestMeasureTransforms:
                 direct.expectation(t, x), rel=1e-8
             )
 
-    def test_recovered_sdf_decomposition_identity_pathwise(self, params, sdf, pf):
-        # log S - [eta t - e . (X_t - X_0) + log H] vanishes along paths up to
-        # the shared discretization, here checked through one simulated ensemble:
-        # accumulate both sides with the same shocks via two functionals
+    @staticmethod
+    def _identity_errors(params, sdf, pf, seed, e1):
+        """|log S - [eta t - e . (X_t - X_0) + log H]| per path, and the bound
+        IDENTITY_C eps sum|terms|, the terms being every per-step increment of
+        both logs plus the three right-hand terms."""
         dyn = params.dynamics()
+        ah2 = float(pf.alpha_h @ pf.alpha_h)
         h_hat = lrr.AffineFunctional(
-            b0=-0.5 * params.iota[1] * float(pf.alpha_h @ pf.alpha_h),
-            b1=0.0,
-            b2=-0.5 * float(pf.alpha_h @ pf.alpha_h),
-            alpha=pf.alpha_h,
+            b0=-0.5 * params.iota[1] * ah2, b1=0.0, b2=-0.5 * ah2, alpha=pf.alpha_h
         )
-        x1, x2, logs, _ = lrr._simulate_core(
-            dyn, [sdf, h_hat], 12.0, 1 / 12, 1000, 9, None
+        times = [k / 12 for k in range(1, 145)]
+        x1, x2, logs, snaps = lrr._simulate_core(
+            dyn, [sdf, h_hat], 12.0, 1 / 12, 1000, seed, None, record_times=times
         )
         log_s, log_h = logs
-        e_term = pf.e1 * (x1 - params.iota[0]) + pf.e2 * (x2 - params.iota[1])
-        rhs = pf.eta_hat * 12.0 - e_term + log_h
-        np.testing.assert_allclose(log_s, rhs, atol=1e-10)
+        path = np.stack([np.zeros((2, x1.size))] + [np.stack(snaps[t]) for t in times])
+        rhs_terms = [
+            np.full(x1.size, pf.eta_hat * 12.0),
+            -e1 * (x1 - params.iota[0]),
+            -pf.e2 * (x2 - params.iota[1]),
+        ]
+        terms = np.abs(np.diff(path, axis=0)).sum(axis=(0, 1)) + sum(map(np.abs, rhs_terms))
+        err = np.abs(log_s - (sum(rhs_terms) + log_h))
+        return err, IDENTITY_C * np.finfo(float).eps * terms
+
+    def test_recovered_sdf_decomposition_identity_pathwise(self, params, sdf, pf):
+        # log S - [eta t - e . (X_t - X_0) + log H] vanishes along paths up to
+        # the shared discretization: both sides are accumulated with the same
+        # shocks via two functionals, so only round-off separates them.  The
+        # bound is IDENTITY_C eps sum|terms| per path; over seeds 0-199 the
+        # largest error is 1.31 eps sum|terms|
+        for seed in range(10):
+            err, bound = self._identity_errors(params, sdf, pf, seed, pf.e1)
+            assert np.all(err <= bound), (seed, float(np.max(err / bound)))
+
+    def test_identity_bound_detects_perturbed_eigenfunction(self, params, sdf, pf):
+        # the bound is tight enough to see e1 off by 1e-9 relative
+        err, bound = self._identity_errors(params, sdf, pf, 9, pf.e1 * (1.0 + 1e-9))
+        assert np.any(err > bound)
 
     def test_risk_neutral_density_close_to_recovered(self, params, sdf, pf, cm):
         # diagnostic: the two risk-adjusted measures nearly coincide here
@@ -449,12 +471,169 @@ class TestStationaryDensity:
 
 
 @pytest.fixture(scope="module")
+def all_dynamics(params, sdf, cm):
+    return {
+        "p": params.dynamics(),
+        "p_hat": cm.dynamics(params),
+        "risk_neutral": lrr.risk_neutral_dynamics(params, sdf).dynamics(params),
+    }
+
+
+def gamma_law(dyn):
+    """Shape and scale of the stationary Gamma law of X2."""
+    s22 = float(dyn.sigma_2 @ dyn.sigma_2)
+    return -2.0 * dyn.mu_22 * dyn.iota[1] / s22, s22 / (-2.0 * dyn.mu_22)
+
+
+@pytest.fixture(scope="module")
+def laws(all_dynamics):
+    return {name: lrr.StationaryLaw(dyn) for name, dyn in all_dynamics.items()}
+
+
+class TestStationaryLaw:
+    def test_covariance_solves_lyapunov_equation(self, all_dynamics):
+        for dyn in all_dynamics.values():
+            mean, cov = lrr.stationary_moments(dyn)
+            drift = np.array([[dyn.mu_11, dyn.mu_12], [0.0, dyn.mu_22]])
+            vol = np.vstack([dyn.sigma_1, dyn.sigma_2])
+            lhs = drift @ cov + cov @ drift.T
+            np.testing.assert_allclose(lhs, -dyn.iota[1] * vol @ vol.T, rtol=1e-12, atol=1e-20)
+            np.testing.assert_array_equal(mean, dyn.iota)
+            assert cov[1, 1] == pytest.approx(lrr.cir_stationary_moments(dyn)[1], rel=1e-14)
+
+    def test_x2_marginal_is_gamma(self, laws):
+        # integrating the 2-D expansion over all of X1 leaves the u1 = 0
+        # slice, where the transform table must reproduce the Gamma law
+        from scipy.special import gammainc
+
+        for law in laws.values():
+            shape, scale = gamma_law(law.dynamics)
+            u2 = np.linspace(-60.0, 60.0, 13)
+            np.testing.assert_allclose(
+                law.log_cf(0.0, u2), -shape * np.log1p(-1j * scale * u2), rtol=1e-12, atol=1e-12
+            )
+            grid = law.density()
+            for edges in (grid.x2_edges, np.linspace(0.0, law.upper[1], 301)):
+                masses = law.bin_masses([-np.inf, np.inf], edges)[0]
+                expected = np.diff(gammainc(shape, edges / scale))
+                np.testing.assert_allclose(masses, expected, rtol=0, atol=1e-10)
+
+    def test_density_grid_and_means(self, laws):
+        for law in laws.values():
+            grid = law.density()
+            sd = np.sqrt(np.diag(grid.cov))
+            assert grid.x1_edges[0] == pytest.approx(grid.mean[0] - 4 * sd[0], rel=1e-12)
+            assert grid.x2_edges[-1] == pytest.approx(grid.mean[1] + 4 * sd[1], rel=1e-12)
+            assert grid.hist.sum() == pytest.approx(1.0, abs=1e-14)
+            assert grid.hist.min() >= 0.0
+            assert 0.0 < grid.mass_outside_grid < 1e-2
+            centres = [0.5 * (e[1:] + e[:-1]) for e in (grid.x1_edges, grid.x2_edges)]
+            binned = [grid.hist.sum(axis=1) @ centres[0], grid.hist.sum(axis=0) @ centres[1]]
+            # the grid cuts the skewed tails, which moves a binned mean by ~3e-3 sd
+            assert np.all(np.abs(np.array(binned) - grid.mean) <= 1e-2 * sd)
+
+    @pytest.mark.parametrize(
+        "mu_11, mu_12, mu_22, sigma_1",
+        [
+            # the propagator stops long before X2 mixes, and rho = 0.98
+            (-0.3, 0.01, -0.004, (0.0, 0.002, 0.001)),
+            (-0.021, -5e-5, -0.0115, (0.0, 0.00034, -0.0001)),
+        ],
+    )
+    def test_masses_carry_the_exact_moments(self, mu_11, mu_12, mu_22, sigma_1):
+        # the first two moments of the bin masses over the whole expansion
+        # box (Sheppard-corrected) against the Lyapunov solution
+        dyn = lrr.StateDynamics(
+            mu_11=mu_11, mu_12=mu_12, mu_22=mu_22, iota=(0.001, 1.0),
+            sigma_1=sigma_1, sigma_2=(0.0, 0.0, 0.03),
+        )
+        law = lrr.StationaryLaw(dyn)
+        edges = [np.linspace(lo, hi, 401) for lo, hi in zip(law.lower, law.upper)]
+        mass = law.bin_masses(*edges)
+        c1, c2 = (0.5 * (e[1:] + e[:-1]) for e in edges)
+        h1, h2 = (e[1] - e[0] for e in edges)
+        m1, m2 = mass.sum(axis=1) @ c1, mass.sum(axis=0) @ c2
+        cov = np.array([
+            [mass.sum(axis=1) @ (c1 - m1) ** 2 - h1 * h1 / 12, c1 @ mass @ c2 - m1 * m2],
+            [0.0, mass.sum(axis=0) @ (c2 - m2) ** 2 - h2 * h2 / 12],
+        ])
+        cov[1, 0] = cov[0, 1]
+        mean_exact, cov_exact = lrr.stationary_moments(dyn)
+        sd = np.sqrt(np.diag(cov_exact))
+        assert mass.sum() == pytest.approx(1.0, abs=1e-11)
+        assert mass.min() >= -1e-13
+        assert np.all(np.abs(np.array([m1, m2]) - mean_exact) <= 1e-7 * sd)
+        assert np.max(np.abs(cov - cov_exact) / np.outer(sd, sd)) <= 1e-6
+
+    def test_self_convergence(self, params, all_dynamics, laws, monkeypatch):
+        # halving the propagator step and doubling the cosine terms moves the
+        # bin masses and the yield quartiles by at most 1e-10
+        monkeypatch.setattr(lrr, "_COS_TERMS", 2 * lrr._COS_TERMS)
+        monkeypatch.setattr(lrr, "_MAGNUS_STEPS", 2 * lrr._MAGNUS_STEPS)
+        fine = {name: lrr.StationaryLaw(dyn) for name, dyn in all_dynamics.items()}
+        for name, law in laws.items():
+            base, refined = law.density(), fine[name].density()
+            assert np.max(np.abs(refined.hist - base.hist)) <= 1e-10
+            assert abs(refined.mass_outside_grid - base.mass_outside_grid) <= 1e-10
+        horizons = np.arange(12.0, 1201.0, 12.0)
+        probs = [0.25, 0.5, 0.75]
+        for flow in ("consumption", "bond"):
+            _, per_measure = lrr._yield_laws(params, horizons, flow)
+            for name, (_, _, loadings) in zip(("p", "p_hat"), per_measure):
+                base = laws[name].quantiles(loadings, probs)
+                refined = fine[name].quantiles(loadings, probs)
+                moved = np.abs(refined - base) * (lrr.MONTHS_PER_YEAR / horizons[:, None])
+                assert moved.max() <= 1e-10, (flow, name, moved.max())
+
+    def test_quantiles_of_x2_are_gamma_quantiles(self, laws):
+        from scipy.special import gammainc
+
+        probs = np.array([0.01, 0.25, 0.5, 0.75, 0.99])
+        for law in laws.values():
+            shape, scale = gamma_law(law.dynamics)
+            q = law.quantiles([[0.0, 1.0], [0.0, -2.0]], probs)
+            np.testing.assert_allclose(gammainc(shape, q[0] / scale), probs, rtol=0, atol=1e-10)
+            # a negative loading takes the conjugate branch of the transform
+            np.testing.assert_allclose(q[1], -2.0 * q[0][::-1], rtol=1e-10)
+
+    def test_reflected_loading_reflects_quantiles(self, laws):
+        probs = np.array([0.25, 0.5, 0.75])
+        c = np.array([[30.0, -0.2], [10.0, 0.01]])
+        for law in laws.values():
+            np.testing.assert_allclose(
+                law.quantiles(-c, probs), -law.quantiles(c, probs[::-1]), rtol=1e-10
+            )
+
+    def test_zero_variance_loading_is_a_point(self, params, laws):
+        q = laws["p"].quantiles([[0.0, 0.0], [1.0, 0.0]], [0.25, 0.5, 0.75])
+        np.testing.assert_array_equal(q[0], 0.0)
+        # under P, X1 is symmetric about iota1 (mu_12 = 0, sigma_1 . sigma_2 = 0)
+        assert q[1, 1] == pytest.approx(params.iota[0], abs=1e-12)
+        assert q[1, 0] == pytest.approx(-q[1, 2], rel=1e-9)
+
+    def test_degenerate_factors_raise(self, params):
+        base = dict(mu_11=params.mu_11, mu_12=0.0, mu_22=params.mu_22, iota=(0.0, 1.0))
+        no_vol = lrr.StateDynamics(**base, sigma_1=params.sigma_1, sigma_2=(0.0, 0.0, 0.0))
+        no_growth = lrr.StateDynamics(**base, sigma_1=(0.0, 0.0, 0.0), sigma_2=params.sigma_2)
+        for dyn in (no_vol, no_growth):
+            with pytest.raises(ModelValidityError, match="degenerate"):
+                lrr.StationaryLaw(dyn)
+
+    def test_yield_curves_reuse_passed_laws(self, params, laws):
+        horizons = [12, 600]
+        own = lrr.yield_curves(params, horizons, "bond")
+        shared = lrr.yield_curves(params, horizons, "bond", laws=(laws["p"], laws["p_hat"]))
+        np.testing.assert_array_equal(own.quartiles_p, shared.quartiles_p)
+        np.testing.assert_array_equal(own.quartiles_p_hat, shared.quartiles_p_hat)
+        with pytest.raises(ValueError, match="not those"):
+            lrr.yield_curves(params, horizons, "bond", laws=(laws["p_hat"], laws["p"]))
+
+
+@pytest.fixture(scope="module")
 def curves(params):
     horizons = [12, 120, 360, 1200]
     return {
-        flow: lrr.yield_curves(
-            params, horizons, cash_flow=flow, n_paths=4000, dt=MC_DT, seed=11
-        )
+        flow: lrr.yield_curves(params, horizons, cash_flow=flow)
         for flow in ("consumption", "bond")
     }
 
