@@ -32,9 +32,10 @@ before any downstream output is trusted (the test suite enforces this).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -524,15 +525,15 @@ def recovered_sdf_functional(
 class AffineExpectationCoeffs:
     """Integrated exponents: E[M_t | x] = exp(theta0 + theta1 x1 + theta2 x2).
 
-    Holds a dense grid plus the underlying interpolant for evaluation at
-    arbitrary horizons up to ``t_max``.
+    Holds the exponents on a dense grid, and evaluates them at any horizon
+    up to ``t_max`` by one propagator step from the nearest node below.
     """
 
     t_grid: NDArray[np.float64]
     theta0: NDArray[np.float64]
     theta1: NDArray[np.float64]
     theta2: NDArray[np.float64]
-    _sol: object
+    _at: Callable[[NDArray[np.float64]], NDArray[np.float64]]
 
     @property
     def t_max(self) -> float:
@@ -541,7 +542,7 @@ class AffineExpectationCoeffs:
     def evaluate(self, t: float) -> tuple[float, float, float]:
         if t < 0 or t > self.t_max * (1 + 1e-12):
             raise ValueError(f"horizon {t} outside the integrated range")
-        th = self._sol.sol(min(t, self.t_max))
+        th = self._at(np.array([min(t, self.t_max)]))[:, 0]
         return float(th[0]), float(th[1]), float(th[2])
 
     def expectation(self, t: float, x) -> float:
@@ -556,12 +557,179 @@ class AffineExpectationCoeffs:
         return t0 + t1 * x1 + t2 * x2
 
 
+_STEP_GROWTH = 5.0  # a propagator step grows like exp(-mu_11 t / _STEP_GROWTH)
+_TAIL = 1e-18  # size of the theta1-driven terms where they count as converged
+_EXPONENT_STEPS = 1024  # exponent propagator steps up to where theta1 has converged
+_EXPONENT_RATE_STEP = 0.5  # bound on |eigenvalue| x length of an exponent step
+_PHI_NODES = 6  # Gauss-Legendre nodes of phi1(Omega) over one exponent step
+
+
+def _expm2(o11, o12, o21, o22):
+    """Entries of exp([[o11, o12], [o21, o22]]) for arrays of 2x2 matrices.
+
+    With h the half trace and N the traceless part, N^2 = delta I, so
+    exp = e^h (cosh(s) I + sinh(s)/s N), s^2 = delta, written with
+    e^(h +/- s) so that neither factor overflows alone.  s is complex when a
+    real matrix has complex eigenvalues; real matrices get real entries.
+    """
+    half = 0.5 * (o11 + o22)
+    n11 = 0.5 * (o11 - o22)
+    delta = n11 * n11 + o12 * o21
+    s = np.sqrt(np.asarray(delta, dtype=complex))
+    up, down = np.exp(half + s), np.exp(half - s)
+    cosh = 0.5 * (up + down)
+    small = np.abs(delta) < 1e-2  # sinh(s)/s by its series, without cancellation
+    series = np.exp(half) * (
+        1.0 + delta * (1 / 6 + delta * (1 / 120 + delta * (1 / 5040 + delta / 362880)))
+    )
+    sinhc = np.where(small, series, 0.5 * (up - down) / np.where(small, 1.0, s))
+    entries = cosh + sinhc * n11, sinhc * o12, sinhc * o21, cosh - sinhc * n11
+    return entries if np.iscomplexobj(delta) else tuple(e.real for e in entries)
+
+
+def _magnus_omega(h, b_a, b_b, c_a, c_b, top=1.0):
+    """Omega of one 4th-order Magnus step of y' = [[0, top], [c, b]] y.
+
+    (b, c) are taken at the step's two Gauss-Legendre points a and b, and
+    Omega = h (A_a + A_b) / 2 + sqrt(3) h^2 / 12 [A_b, A_a].  Returns
+    (o11 / top, o12 / top, o21, o22): the first row without its factor top,
+    which a caller may need exactly.
+    """
+    k = (np.sqrt(3.0) / 12.0) * h * h
+    r11 = k * (c_a - c_b)
+    r12 = h + k * (b_a - b_b)
+    o21 = 0.5 * h * (c_a + c_b) + k * (b_b * c_a - b_a * c_b)
+    o22 = 0.5 * h * (b_a + b_b) - top * r11
+    return r11, r12, o21, o22
+
+
+def _exponent_path(functional: AffineFunctional, dynamics: StateDynamics, t_max: float):
+    """(theta0, theta1, theta2) of E[M_t | x] as a function of t in [0, t_max].
+
+    theta1 = p (1 - e^{mu_11 t}), p = -b1 / mu_11, in closed form.  With
+    R = |sigma_2|^2 / 2, theta2 = -z / w for the linear system
+
+        w' = R z,   z' = -C(t) w + B(t) z,   w(0) = 1, z(0) = 0,
+
+    B = mu_22 + sigma_2.alpha + s12 theta1 and C the rest of the Riccati
+    right-hand side, which turns its quadratic term into a linear one.  It
+    is stepped by the 4th-order Magnus propagator that ``_transform_nodes``
+    uses: ``_EXPONENT_STEPS`` steps uniform in 1 - exp(mu_11 t / _STEP_GROWTH)
+    up to where theta1 has converged, past which B and C are constant and
+    each step is exact; every step is cut so that it spans at most
+    ``_EXPONENT_RATE_STEP`` over the estimated largest eigenvalue of the
+    system.  The integral of theta2 over a step is -log(w1 / w0) / R, and
+    w1 / w0 - 1 = R g, where g is the first row of Omega / R times
+    phi1(Omega) (Gauss-Legendre in s over exp(s Omega)) applied to the state:
+    R is factored out exactly, so the integral keeps its digits however small
+    R is.  theta0 follows from the closed-form integral of theta1 and that
+    of theta2.  If w reaches 0 before t_max, theta2 explodes there and
+    BlowUpError carries that time.  The result depends on t_max only through
+    the last step.
+    """
+    d, f = dynamics, functional
+    s11 = float(d.sigma_1 @ d.sigma_1)
+    s12 = float(d.sigma_1 @ d.sigma_2)
+    r = 0.5 * float(d.sigma_2 @ d.sigma_2)
+    beta = d.mu_22 + float(d.sigma_2 @ f.alpha)
+    gamma0 = f.b2 + 0.5 * float(f.alpha @ f.alpha)
+    gamma1 = d.mu_12 + float(d.sigma_1 @ f.alpha)
+    p = -f.b1 / d.mu_11
+    i1, i2 = d.iota
+    # Gauss-Legendre nodes and weights on [0, 1] (Golub-Welsch)
+    n = np.arange(1, _PHI_NODES)
+    jacobi = np.diag(0.5 * n / np.sqrt(4.0 * n * n - 1.0), 1)
+    gl_x, vecs = np.linalg.eigh(0.5 * np.eye(_PHI_NODES) + jacobi + jacobi.T)
+    gl_w = vecs[0] ** 2
+
+    def theta1(t):
+        return -p * np.expm1(d.mu_11 * t)
+
+    def steps(t, h):
+        """Per step [t, t + h]: (E21, E22) of the propagator E and (g0, g1),
+        with w1 / w0 - 1 = R (g0 + g1 zeta) for the state (1, zeta) at t."""
+        mid = t + 0.5 * h
+        off = h * (np.sqrt(3.0) / 6.0)
+        th = theta1(mid - off), theta1(mid + off)
+        b = [beta + s12 * x for x in th]
+        c = [-(gamma0 + x * (gamma1 + 0.5 * s11 * x)) for x in th]
+        r11, r12, o21, o22 = _magnus_omega(h, b[0], b[1], c[0], c[1], top=r)
+        omega = (r * r11, r * r12, o21, o22)
+        _, _, e21, e22 = _expm2(*omega)
+        phi = [0.0] * 4
+        for x, w in zip(gl_x, gl_w):
+            phi = [acc + w * e for acc, e in zip(phi, _expm2(*(x * o for o in omega)))]
+        return e21, e22, r11 * phi[0] + r12 * phi[2], r11 * phi[1] + r12 * phi[3]
+
+    # step length cap from the eigenvalues of [[0, R], [-C, B]] at theta1 = 0 and p
+    th = np.array([0.0, p])
+    b_end = beta + s12 * th
+    c_end = -(gamma0 + th * (gamma1 + 0.5 * s11 * th))
+    rate = float(np.max(np.abs(0.5 * b_end) + np.sqrt(np.abs(0.25 * b_end**2 + r * c_end))))
+    cap = _EXPONENT_RATE_STEP / rate if rate > 0.0 else np.inf
+    if p != 0.0:  # stretched steps up to where theta1 has converged
+        grid = np.linspace(0.0, -np.expm1(np.log(_TAIL) / _STEP_GROWTH), _EXPONENT_STEPS + 1)
+        t = _STEP_GROWTH * np.log1p(-grid) / d.mu_11
+    else:
+        t = np.zeros(1)
+    h = np.diff(t)
+    pieces = np.maximum(np.ceil(h / cap), 1).astype(int)
+    within = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    t = np.append(np.repeat(t[:-1], pieces) + np.repeat(h / pieces, pieces) * within, t[-1])
+    if np.isfinite(cap):
+        t = np.append(t, t[-1] + cap * np.arange(1, np.ceil((t_max - t[-1]) / cap) + 1))
+    t = np.append(t[t < t_max], t_max)
+
+    e21, e22, g0, g1 = (v.tolist() for v in steps(t[:-1], np.diff(t)))
+    zeta = [0.0] * t.size  # -theta2 at the nodes
+    int2 = [0.0] * t.size  # integral of theta2 up to the nodes
+    z = acc = 0.0
+    for k in range(t.size - 1):
+        g = g0[k] + g1[k] * z
+        delta = r * g
+        if not delta > -1.0:  # w reaches 0 within the step: find where
+            lo, hi = 0.0, float(t[k + 1] - t[k])
+            for _ in range(60):
+                tau = 0.5 * (lo + hi)
+                _, _, a0, a1 = steps(t[k : k + 1], np.array([tau]))
+                if 1.0 + r * float(a0[0] + a1[0] * z) > 0.0:
+                    lo = tau
+                else:
+                    hi = tau
+            t_blow = float(t[k]) + 0.5 * (lo + hi)
+            raise BlowUpError(
+                f"exponent ODE explodes near t = {t_blow:.4f}", blow_up_time=t_blow
+            )
+        acc -= g * (math.log1p(delta) / delta if delta else 1.0)  # -log(w1 / w0) / R
+        z = (e21[k] + e22[k] * z) / (1.0 + delta)
+        zeta[k + 1], int2[k + 1] = z, acc
+    if not (np.isfinite(z) and np.isfinite(acc)):
+        raise ModelValidityError("exponent propagator overflowed")
+    zeta, int2 = np.array(zeta), np.array(int2)
+
+    def at(ts: NDArray[np.float64]) -> NDArray[np.float64]:
+        k = np.clip(np.searchsorted(t, ts, side="right") - 1, 0, t.size - 1)
+        e21, e22, g0, g1 = steps(t[k], ts - t[k])
+        g = g0 + g1 * zeta[k]
+        delta = r * g
+        th2 = -(e21 + e22 * zeta[k]) / (1.0 + delta)
+        moved = delta != 0.0  # log1p(delta) / delta, continued by 1 at 0
+        int_th2 = int2[k] - g * np.where(moved, np.log1p(delta) / np.where(moved, delta, 1.0), 1.0)
+        int_th1 = p * (ts - np.expm1(d.mu_11 * ts) / d.mu_11)
+        th0 = (
+            (f.b0 - f.b1 * i1 - f.b2 * i2) * ts
+            - (d.mu_11 * i1 + d.mu_12 * i2) * int_th1
+            - d.mu_22 * i2 * int_th2
+        )
+        return np.vstack([th0, theta1(ts), th2])
+
+    return at
+
+
 def solve_affine_ode(
     functional: AffineFunctional,
     dynamics: StateDynamics,
     t_max: float,
-    atol: float = 1e-12,
-    rtol: float = 1e-12,
     n_grid: int = 400,
 ) -> AffineExpectationCoeffs:
     """Integrate the exponent ODE system for E[M_t | x] up to t_max.
@@ -578,66 +746,16 @@ def solve_affine_ode(
         theta0' = b0 - b1 iota1 - b2 iota2
                   - theta1 (mu_11 iota1 + mu_12 iota2) - theta2 mu_22 iota2
 
-    all starting from zero.  Adaptive 4th/5th-order integration; a Riccati
-    explosion before t_max raises BlowUpError with the estimated time.
+    all starting from zero.  theta1 is closed-form and theta2 comes from a
+    Magnus propagator of the linearised Riccati equation
+    (``_exponent_path``); a Riccati explosion before t_max raises
+    BlowUpError with the time at which the linearisation reaches zero.
     """
-    from scipy.integrate import solve_ivp  # here, so importing the package loads no scipy
-    d = dynamics
-    f = functional
-    s11 = float(d.sigma_1 @ d.sigma_1)
-    s12 = float(d.sigma_1 @ d.sigma_2)
-    s22 = float(d.sigma_2 @ d.sigma_2)
-    a1 = float(d.sigma_1 @ f.alpha)
-    a2 = float(d.sigma_2 @ f.alpha)
-    aa = float(f.alpha @ f.alpha)
-    i1, i2 = d.iota
-
-    def rhs(_t, th):
-        th0, th1, th2 = th
-        d1 = f.b1 + d.mu_11 * th1
-        d2 = (
-            f.b2
-            + 0.5 * aa
-            + th1 * (d.mu_12 + a1)
-            + th2 * (d.mu_22 + a2)
-            + 0.5 * (th1 * th1 * s11 + 2.0 * th1 * th2 * s12 + th2 * th2 * s22)
-        )
-        d0 = (
-            f.b0
-            - f.b1 * i1
-            - f.b2 * i2
-            - th1 * (d.mu_11 * i1 + d.mu_12 * i2)
-            - th2 * d.mu_22 * i2
-        )
-        return (d0, d1, d2)
-
-    def blown_up(_t, th):
-        return max(abs(th[1]), abs(th[2])) - 1e8
-
-    blown_up.terminal = True
-    blown_up.direction = 1.0
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_max)),
-        np.zeros(3),
-        method="RK45",
-        dense_output=True,
-        atol=atol,
-        rtol=rtol,
-        events=blown_up,
-    )
-    if sol.status == 1 and sol.t_events[0].size:
-        raise BlowUpError(
-            f"exponent ODE explodes near t = {sol.t_events[0][0]:.4f}",
-            blow_up_time=float(sol.t_events[0][0]),
-        )
-    if not sol.success:
-        raise ModelValidityError(f"exponent ODE integration failed: {sol.message}")
+    at = _exponent_path(functional, dynamics, float(t_max))
     grid = np.linspace(0.0, float(t_max), n_grid)
-    vals = sol.sol(grid)
+    vals = at(grid)
     return AffineExpectationCoeffs(
-        t_grid=grid, theta0=vals[0], theta1=vals[1], theta2=vals[2], _sol=sol
+        t_grid=grid, theta0=vals[0], theta1=vals[1], theta2=vals[2], _at=at
     )
 
 
@@ -937,8 +1055,6 @@ _CHEB_MAX_NODES = 768  # node count past which a table that still misses raises
 _CHEB_TOL = 1e-10  # allowed miss between nodes: relative, times |mu_22 iota2 / R|
 _MAGNUS_STEPS = 256  # propagator steps of a transform table
 _STEP_BLOCK = 32  # propagator steps formed at once
-_STEP_GROWTH = 5.0  # a step grows like exp(-mu_11 t / _STEP_GROWTH)
-_TAIL = 1e-18  # size of the theta1-driven coefficients where the propagator stops
 _MASS_FLOOR = 1e-15  # bin masses at or below this are round-off, not mass
 _CHUNK_BYTES = 1 << 19  # bound on the largest temporaries of table look-ups and quantile solves
 
@@ -960,27 +1076,6 @@ def stationary_moments(dynamics: StateDynamics) -> tuple[NDArray[np.float64], ND
     p12 = -(d.mu_12 * p22 + i2 * s12) / (d.mu_11 + d.mu_22)
     p11 = -(2.0 * d.mu_12 * p12 + i2 * s11) / (2.0 * d.mu_11)
     return d.iota.copy(), np.array([[p11, p12], [p12, p22]])
-
-
-def _expm2(o11, o12, o21, o22):
-    """Entries of exp([[o11, o12], [o21, o22]]) for arrays of 2x2 matrices.
-
-    With h the half trace and N the traceless part, N^2 = delta I, so
-    exp = e^h (cosh(s) I + sinh(s)/s N), s^2 = delta, written with
-    e^(h +/- s) so that neither factor overflows alone.
-    """
-    half = 0.5 * (o11 + o22)
-    n11 = 0.5 * (o11 - o22)
-    delta = n11 * n11 + o12 * o21
-    s = np.sqrt(delta)
-    up, down = np.exp(half + s), np.exp(half - s)
-    cosh = 0.5 * (up + down)
-    small = np.abs(delta) < 1e-2  # sinh(s)/s by its series, without cancellation
-    series = np.exp(half) * (
-        1.0 + delta * (1 / 6 + delta * (1 / 120 + delta * (1 / 5040 + delta / 362880)))
-    )
-    sinhc = np.where(small, series, 0.5 * (up - down) / np.where(small, 1.0, s))
-    return cosh + sinhc * n11, sinhc * o12, sinhc * o21, cosh - sinhc * n11
 
 
 def _transform_nodes(d: StateDynamics, u1: NDArray[np.float64], steps: int):
@@ -1018,13 +1113,7 @@ def _transform_nodes(d: StateDynamics, u1: NDArray[np.float64], steps: int):
         b_a, b_b = d.mu_22 + s12 * th_a, d.mu_22 + s12 * th_b
         c_a = -r * th_a * (d.mu_12 + 0.5 * s11 * th_a)
         c_b = -r * th_b * (d.mu_12 + 0.5 * s11 * th_b)
-        # Omega = h (A_a + A_b) / 2 + sqrt(3) h^2 / 12 [A_b, A_a], A = [[0, 1], [c, b]]
-        k = (np.sqrt(3.0) / 12.0) * h * h
-        o11 = k * (c_a - c_b)
-        o12 = h + k * (b_a - b_b)
-        o21 = 0.5 * h * (c_a + c_b) + k * (b_b * c_a - b_a * c_b)
-        o22 = 0.5 * h * (b_a + b_b) - o11
-        e11, e12, e21, e22 = _expm2(o11, o12, o21, o22)
+        e11, e12, e21, e22 = _expm2(*_magnus_omega(h, b_a, b_b, c_a, c_b))
         for n in range(h.shape[0]):
             a0 = e11[n] + e12[n] * a1
             a1, b0, b1 = (e21[n] + e22[n] * a1) / a0, (e11[n] * b0 + e12[n] * b1) / a0, (
@@ -1278,8 +1367,7 @@ def _exponents(
     f = functional
     if f.b0 == f.b1 == f.b2 == 0.0 and not np.any(f.alpha):
         return np.zeros((horizons.size, 3))
-    ode = solve_affine_ode(f, dynamics, float(horizons[-1]))
-    return np.array([ode.evaluate(t) for t in horizons])
+    return solve_affine_ode(f, dynamics, float(horizons[-1]))._at(horizons).T
 
 
 def _yield_laws(params: LrrParams, horizons: NDArray[np.float64], cash_flow: str):

@@ -16,6 +16,7 @@ verifies the martingale property of each candidate.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -138,14 +139,21 @@ def _phi1(z: float) -> float:
     return float(np.expm1(z) / z) if z != 0.0 else 1.0
 
 
-def _transition(x: NDArray[np.float64], a: float, kappa: float, s2: float, h: float, rng):
-    """X_h given X_0 = x by the exact transition of ``square_root_step``."""
+def _transition(a: float, kappa: float, s2: float, h: float):
+    """The exact transition x -> X_h of ``square_root_step`` as a function of
+    (x, rng), with its constants formed once."""
     if s2 > 0.0 and h > 0.0:
         c = 0.25 * s2 * h * _phi1(-kappa * h)
-        x_new = rng.noncentral_chisquare(4.0 * a / s2, x * (np.exp(-kappa * h) / c))
-        x_new *= c
-        return x_new
-    return x * np.exp(-kappa * h) + a * h * _phi1(-kappa * h)
+        df, scale = 4.0 * a / s2, np.exp(-kappa * h) / c
+
+        def step(x, rng):
+            x_new = rng.noncentral_chisquare(df, x * scale)
+            x_new *= c
+            return x_new
+
+        return step
+    decay, drift = np.exp(-kappa * h), a * h * _phi1(-kappa * h)
+    return lambda x, rng: x * decay + drift
 
 
 def square_root_step(
@@ -166,7 +174,7 @@ def square_root_step(
     (integral) that the endpoints and the integral imply.  With s2 = 0 the
     step is the deterministic mean.
     """
-    x_new = _transition(x, a, kappa, s2, h, rng)
+    x_new = _transition(a, kappa, s2, h)(x, rng)
     integral = x + x_new
     integral *= 0.5 * h
     increment = x_new - x
@@ -175,8 +183,25 @@ def square_root_step(
     return x_new, integral, increment
 
 
+_MAX_BLOCKS = 8  # path blocks of an ensemble, whatever the machine
+_MIN_BLOCK_PATHS = 2_500  # fewer paths per block would not pay for a thread
+
+
+def _block_sizes(n_paths: int) -> list[int]:
+    """Near-equal block sizes of an ensemble; their number depends only on n_paths."""
+    blocks = max(1, min(_MAX_BLOCKS, n_paths // _MIN_BLOCK_PATHS))
+    size, extra = divmod(n_paths, blocks)
+    return [size + (i < extra) for i in range(blocks)]
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _physical_paths(
-    model: SquareRootModel, n_steps: int, dt: float, n_paths: int, rng, x0: float
+    model: SquareRootModel, n_steps: int, dt: float, n_paths: int, entropy, x0: float
 ):
     """Terminal X and log S_t, t = n_steps dt, of a physical ensemble started at x0.
 
@@ -187,16 +212,41 @@ def _physical_paths(
 
     so only the integral needs the dt grid.  Its trapezoid rule is kept as
     the running sum dt (x0 / 2 + X_dt + ... + X_t) - dt X_t / 2.
+
+    The paths are split into ``_block_sizes`` blocks; block i draws from the
+    i-th child of ``SeedSequence(entropy)``.  The blocks run on a pool of as
+    many threads as there are usable cores (numpy's draws and in-place ufuncs
+    release the GIL) and are concatenated in block order, so the result
+    depends only on the entropy, never on the number of cores.  The pool is
+    shut down before returning.
     """
     t = n_steps * dt
     a = model.kappa * model.mu_bar
-    x = np.full(n_paths, float(x0))
-    integral = 0.5 * x
-    for _ in range(n_steps):
-        x = _transition(x, a, model.kappa, model.sigma_bar**2, dt, rng)
-        integral += x
-    integral -= 0.5 * x
-    integral *= dt
+    step = _transition(a, model.kappa, model.sigma_bar**2, dt)
+
+    def block(size: int, seed: np.random.SeedSequence):
+        rng = np.random.default_rng(seed)
+        x = np.full(size, float(x0))
+        integral = 0.5 * x
+        for _ in range(n_steps):
+            x = step(x, rng)
+            integral += x
+        integral -= 0.5 * x
+        integral *= dt
+        return x, integral
+
+    sizes = _block_sizes(n_paths)
+    seeds = np.random.SeedSequence(entropy).spawn(len(sizes))
+    workers = min(len(sizes), _usable_cores())
+    if workers == 1:
+        parts = [block(size, seed) for size, seed in zip(sizes, seeds)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here, so importing the package starts no pool
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(block, sizes, seeds))
+    x = np.concatenate([part[0] for part in parts])
+    integral = np.concatenate([part[1] for part in parts])
     log_s = (
         model.beta_bar * t
         - 0.5 * model.alpha_bar**2 * integral
@@ -224,29 +274,28 @@ def simulate(
         E[ exp(-eta t) S_t e(X_t) ] / e(x0)  ~  1
 
     for candidate runs is computed on a companion physical ensemble drawn
-    from a deterministic sub-seed.  Non-finite paths are dropped and counted.
+    from the sub-seed (seed, 1).  Physical ensembles run in blocks of paths on
+    every usable core (``_physical_paths``); the outputs depend only on the
+    seed.  Non-finite paths are dropped and counted.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2 (the variances need two paths)")
     x_start = model.mu_bar if x0 is None else x0
     n_steps = int(round(horizon / dt))
     t_eff = n_steps * dt
-    rng = np.random.default_rng(seed)
     if isinstance(measure, EigenCandidate):
         # X alone needs no grid: one exact transition spans the horizon, with
         # the candidate's mean reversion and the constant drift kappa mu_bar
-        x = _transition(
-            np.full(n_paths, float(x_start)),
-            model.kappa * model.mu_bar,
-            measure.kappa_new,
-            model.sigma_bar**2,
-            t_eff,
-            rng,
+        x = _transition(model.kappa * model.mu_bar, measure.kappa_new, model.sigma_bar**2, t_eff)(
+            np.full(n_paths, float(x_start)), np.random.default_rng(seed)
         )
         ok = np.isfinite(x)
         # companion physical ensemble for the martingale expectation
-        rng_phys = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        xp, log_s = _physical_paths(model, n_steps, dt, n_paths, rng_phys, x_start)
+        xp, log_s = _physical_paths(model, n_steps, dt, n_paths, (seed, 1), x_start)
         mart = np.exp(
             -measure.eta * t_eff
             + log_s
@@ -264,7 +313,7 @@ def simulate(
         )
     if measure != "physical":
         raise ValueError("measure must be 'physical' or an EigenCandidate")
-    x, log_s = _physical_paths(model, n_steps, dt, n_paths, rng, x_start)
+    x, log_s = _physical_paths(model, n_steps, dt, n_paths, seed, x_start)
     s = np.exp(log_s)
     ok = np.isfinite(x) & np.isfinite(s)
     return SimulationResult(

@@ -51,6 +51,21 @@ def test_package_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_lrr_run_loads_no_scipy(tmp_path):
+    # the exponents come from the Magnus propagator, not scipy.integrate
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, recovery_lab.cli as c; "
+        f"assert c.main(['lrr', '--out', {str(tmp_path / 'lrr')!r}]) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_write_json_matches_json_dump_of_lists(tmp_path):
     rng = np.random.default_rng(4)
     m = rng.standard_normal((6, 4))

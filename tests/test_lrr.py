@@ -268,6 +268,108 @@ class TestAffineExpectation:
         assert (t0 - s0) / 100.0 == pytest.approx(pf.eta_hat, rel=1e-8)
 
 
+def solve_ivp_exponents(functional, dynamics, horizons):
+    """The exponent ODEs of ``solve_affine_ode``'s docstring by scipy's RK45
+    at rtol 1e-12, at the horizons; None if |theta| passes 1e8 first (the
+    time it does so is then the second value)."""
+    from scipy.integrate import solve_ivp
+
+    d, f = dynamics, functional
+    s11, s12, s22 = (float(u @ v) for u, v in
+                     ((d.sigma_1, d.sigma_1), (d.sigma_1, d.sigma_2), (d.sigma_2, d.sigma_2)))
+    a1, a2, aa = float(d.sigma_1 @ f.alpha), float(d.sigma_2 @ f.alpha), float(f.alpha @ f.alpha)
+    i1, i2 = d.iota
+
+    def rhs(_t, th):
+        _, th1, th2 = th
+        return (
+            f.b0 - f.b1 * i1 - f.b2 * i2 - th1 * (d.mu_11 * i1 + d.mu_12 * i2) - th2 * d.mu_22 * i2,
+            f.b1 + d.mu_11 * th1,
+            f.b2 + 0.5 * aa + th1 * (d.mu_12 + a1) + th2 * (d.mu_22 + a2)
+            + 0.5 * (th1 * th1 * s11 + 2.0 * th1 * th2 * s12 + th2 * th2 * s22),
+        )
+
+    def explodes(_t, th):
+        return max(abs(th[1]), abs(th[2])) - 1e8
+
+    explodes.terminal = True
+    sol = solve_ivp(rhs, (0.0, float(horizons[-1])), np.zeros(3), method="RK45",
+                    t_eval=horizons, rtol=1e-12, atol=1e-14, events=explodes)
+    if sol.t_events[0].size:
+        return None, float(sol.t_events[0][0])
+    assert sol.success
+    return sol.y, None
+
+
+def assert_exponents_match(got, want):
+    """Within 1e-10 relative, with a floor of 1e-10 times each exponent's
+    largest size over the horizons."""
+    floor = 1e-10 * np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want) + floor)
+
+
+HORIZONS = np.linspace(12.0, 1200.0, 100)  # the default yield horizons, in months
+
+
+class TestExponentPropagator:
+    """The Magnus exponents against an RK45 reference and against themselves."""
+
+    @pytest.fixture(scope="class")
+    def default_functionals(self, params, sdf, pf, cm):
+        # the four exponent solves of a default ``recovery-lab lrr``
+        g = lrr.consumption_functional(params)
+        g_hat = lrr.change_functional_measure(g, params, pf.alpha_h, cm)
+        dyn_p = params.dynamics()
+        return [
+            (lrr.add_functionals(sdf, g), dyn_p),
+            (g, dyn_p),
+            (g_hat, cm.dynamics(params)),
+            (lrr.add_functionals(sdf, lrr.unit_functional()), dyn_p),
+        ]
+
+    def test_default_functionals_match_rk45(self, default_functionals):
+        for f, dyn in default_functionals:
+            want, _ = solve_ivp_exponents(f, dyn, HORIZONS)
+            assert_exponents_match(lrr._exponents(f, dyn, HORIZONS).T, want)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        b0=st.floats(-0.02, 0.02),
+        b1=st.floats(-2.0, 2.0),
+        b2=st.floats(-0.05, 0.05),
+        alpha=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+        recovered=st.booleans(),
+    )
+    def test_drawn_functionals_match_rk45(self, params, cm, b0, b1, b2, alpha, recovered):
+        f = lrr.AffineFunctional(b0=b0, b1=b1, b2=b2, alpha=np.array(alpha))
+        dyn = cm.dynamics(params) if recovered else params.dynamics()
+        want, t_explode = solve_ivp_exponents(f, dyn, HORIZONS)
+        if want is None:
+            # w reaches 0 just after theta2 passes 1e8 (theta2 ~ 1 / (R (T - t)))
+            with pytest.raises(BlowUpError) as info:
+                lrr._exponents(f, dyn, HORIZONS)
+            assert info.value.blow_up_time == pytest.approx(t_explode, rel=1e-4)
+        else:
+            assert_exponents_match(lrr._exponents(f, dyn, HORIZONS).T, want)
+
+    def test_halving_the_step_moves_nothing(self, default_functionals, monkeypatch):
+        coarse = [lrr._exponents(f, dyn, HORIZONS) for f, dyn in default_functionals]
+        monkeypatch.setattr(lrr, "_EXPONENT_STEPS", 2 * lrr._EXPONENT_STEPS)
+        monkeypatch.setattr(lrr, "_EXPONENT_RATE_STEP", 0.5 * lrr._EXPONENT_RATE_STEP)
+        for (f, dyn), old in zip(default_functionals, coarse):
+            new = lrr._exponents(f, dyn, HORIZONS)
+            scale = np.max(np.abs(new), axis=0)
+            assert np.all(np.abs(new - old) <= 1e-12 * np.maximum(np.abs(new), scale))
+
+    def test_evaluate_between_nodes_matches_the_grid(self, params, sdf):
+        # any horizon is one propagator step from the node below it
+        ode = lrr.solve_affine_ode(sdf, params.dynamics(), 300.0, n_grid=7)
+        for t, *theta in zip(ode.t_grid, ode.theta0, ode.theta1, ode.theta2):
+            assert ode.evaluate(t) == pytest.approx(tuple(theta), rel=1e-14, abs=1e-300)
+        with pytest.raises(ValueError, match="outside"):
+            ode.evaluate(301.0)
+
+
 class TestMeasureTransforms:
     def test_price_invariance_under_recovered_measure(self, params, value, sdf, pf, cm):
         # E[S G | x] computed under P equals E[S_hat G_hat | x] computed

@@ -1,6 +1,7 @@
 """Tests for the square-root diffusion eigenfunction machinery."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -187,20 +188,36 @@ class TestSquareRootStep:
 def reference_simulate(model, measure, horizon, dt, n_paths, seed, x0):
     """``sq.simulate`` written out step by step: the exact noncentral
     chi-square transition and the step's trapezoid added to the integral
-    (one transition over the horizon for a candidate's X)."""
+    (one transition over the horizon from ``default_rng(seed)`` for a
+    candidate's X).  A physical ensemble is max(1, min(8, n_paths // 2500))
+    near-equal blocks in order, block i drawn from the i-th child of
+    SeedSequence(seed), or of SeedSequence((seed, 1)) for a candidate's
+    companion ensemble."""
     n_steps = int(round(horizon / dt))
     t = n_steps * dt
     a, s2 = model.kappa * model.mu_bar, model.sigma_bar**2
 
-    def paths(kappa, h, steps, rng):
-        x = np.full(n_paths, x0)
-        integral = np.zeros(n_paths)
+    def paths(kappa, h, steps, size, rng):
+        x = np.full(size, x0)
+        integral = np.zeros(size)
         for _ in range(steps):
             z = -kappa * h
             c = 0.25 * s2 * h * (float(np.expm1(z) / z) if z != 0.0 else 1.0)
             x_new = c * rng.noncentral_chisquare(4.0 * a / s2, x * (np.exp(-kappa * h) / c))
             integral += 0.5 * h * (x + x_new)
             x = x_new
+        return x, integral
+
+    def physical(entropy):
+        blocks = max(1, min(8, n_paths // 2500))
+        sizes = [len(b) for b in np.array_split(np.arange(n_paths), blocks)]
+        parts = [
+            paths(model.kappa, dt, n_steps, size,
+                  np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,))))
+            for i, size in enumerate(sizes)
+        ]
+        x = np.concatenate([part[0] for part in parts])
+        integral = np.concatenate([part[1] for part in parts])
         log_s = (
             model.beta_bar * t
             - 0.5 * model.alpha_bar**2 * integral
@@ -212,14 +229,12 @@ def reference_simulate(model, measure, horizon, dt, n_paths, seed, x0):
         ok = np.isfinite(v)
         return float(np.mean(v[ok])), float(np.std(v[ok], ddof=1) / np.sqrt(ok.sum()))
 
-    rng = np.random.default_rng(seed)
     if measure == "physical":
-        x, log_s = paths(model.kappa, dt, n_steps, rng)
+        x, log_s = physical(seed)
         checked = np.exp(log_s)
     else:
-        x, _ = paths(measure.kappa_new, t, min(n_steps, 1), rng)
-        rng_phys = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        xp, log_s = paths(model.kappa, dt, n_steps, rng_phys)
+        x, _ = paths(measure.kappa_new, t, min(n_steps, 1), n_paths, np.random.default_rng(seed))
+        xp, log_s = physical((seed, 1))
         checked = np.exp(-measure.eta * t + log_s + measure.upsilon * (xp - x0))
     assert np.all(np.isfinite(x))
     return float(np.mean(x)), float(np.var(x, ddof=1)), mean_se(checked)
@@ -235,7 +250,8 @@ class TestSimulateAgainstReference:
         x0=st.floats(0.0, 2.0),
         horizon=st.sampled_from([0.001, 0.25, 1.0, 2.0]),  # 0.001: no step at all
         dt=st.sampled_from([1 / 50, 1 / 12, 0.25]),
-        n_paths=st.integers(2, 200),
+        # up to 4 blocks of paths; large ensembles step on the coarse grid
+        n_paths=st.one_of(st.integers(2, 200), st.integers(7_500, 10_000)),
         seed=st.integers(0, 2**32 - 1),
         which=st.sampled_from(["physical", 0, 1]),
     )
@@ -244,6 +260,8 @@ class TestSimulateAgainstReference:
     ):
         # terminal X bit for bit; S_t and the martingale to round-off, as the
         # integral is summed in another order
+        if n_paths > 200:
+            dt = 0.25
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # origin attainable
             m = make_model(kappa=kappa, alpha=alpha, sigma=sigma, mu=mu)
@@ -259,6 +277,52 @@ class TestSimulateAgainstReference:
         else:
             got = (res.martingale_mean, res.martingale_se)
         np.testing.assert_allclose(got, (mean, se), rtol=1e-12, atol=0.0)
+
+    def test_large_ensemble_spans_all_blocks(self):
+        # 40,000 paths are 8 blocks of 5,000, whatever the core count
+        assert sq._block_sizes(40_000) == [5_000] * 8
+        assert sq._block_sizes(7_501) == [2_501, 2_500, 2_500]
+        assert sq._block_sizes(2) == [2]
+
+
+class TestBlocksAndThreads:
+    @pytest.mark.parametrize("which", ["physical", "selected"])
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_outputs_do_not_depend_on_the_pool(self, monkeypatch, which, workers):
+        m = make_model()
+        measure = which if which == "physical" else sq.select_ergodic(sq.eigen_candidates(m))
+        default = sq.simulate(m, measure, 1.0, 1 / 50, 20_000, seed=11)
+        monkeypatch.setattr(sq, "_usable_cores", lambda: workers)
+        assert sq.simulate(m, measure, 1.0, 1 / 50, 20_000, seed=11) == default
+
+    def test_no_thread_outlives_simulate(self):
+        m = make_model()
+        before = threading.active_count()
+        sq.simulate(m, "physical", 1.0, 1 / 50, 20_000, seed=2)
+        sq.simulate(m, sq.select_ergodic(sq.eigen_candidates(m)), 1.0, 1 / 50, 20_000, seed=2)
+        assert threading.active_count() == before
+
+    def test_negative_horizon_rejected(self):
+        # these inputs returned a bond mean 1.467 with se 0, and a martingale
+        # mean 1.1175 with se 2e-17
+        m = make_model()
+        sel = sq.select_ergodic(sq.eigen_candidates(m))
+        for measure in ("physical", sel):
+            with pytest.raises(ValueError, match="horizon"):
+                sq.simulate(m, measure, horizon=-1.0, dt=0.25, n_paths=100)
+
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_fewer_than_two_paths_rejected(self, n_paths):
+        # these returned nan variances (and nan means at 0 paths) with RuntimeWarnings
+        with pytest.raises(ValueError, match="n_paths"):
+            sq.simulate(make_model(), "physical", horizon=1.0, dt=0.25, n_paths=n_paths)
+
+    def test_zero_horizon_is_the_start(self):
+        m = make_model()
+        res = sq.simulate(m, "physical", horizon=0.0, dt=0.25, n_paths=100, x0=0.7)
+        assert res.x_mean == pytest.approx(0.7, rel=1e-15)
+        assert res.x_var < 1e-30
+        assert (res.discounted_bond_mean, res.discounted_bond_se) == (1.0, 0.0)
 
 
 class TestInterfaces:
