@@ -636,11 +636,9 @@ def _exponent_path(functional: AffineFunctional, dynamics: StateDynamics, t_max:
     gamma1 = d.mu_12 + float(d.sigma_1 @ f.alpha)
     p = -f.b1 / d.mu_11
     i1, i2 = d.iota
-    # Gauss-Legendre nodes and weights on [0, 1] (Golub-Welsch)
-    n = np.arange(1, _PHI_NODES)
-    jacobi = np.diag(0.5 * n / np.sqrt(4.0 * n * n - 1.0), 1)
-    gl_x, vecs = np.linalg.eigh(0.5 * np.eye(_PHI_NODES) + jacobi + jacobi.T)
-    gl_w = vecs[0] ** 2
+    # Gauss-Legendre nodes and weights on [0, 1]
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_PHI_NODES)
+    gl_x, gl_w = 0.5 * (gl_x + 1.0), 0.5 * gl_w
 
     def theta1(t):
         return -p * np.expm1(d.mu_11 * t)
@@ -1367,7 +1365,7 @@ def _exponents(
     f = functional
     if f.b0 == f.b1 == f.b2 == 0.0 and not np.any(f.alpha):
         return np.zeros((horizons.size, 3))
-    return solve_affine_ode(f, dynamics, float(horizons[-1]))._at(horizons).T
+    return _exponent_path(f, dynamics, float(horizons[-1]))(horizons).T
 
 
 def _yield_laws(params: LrrParams, horizons: NDArray[np.float64], cash_flow: str):
