@@ -16,7 +16,6 @@ verifies the martingale property of each candidate.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -183,73 +182,46 @@ def square_root_step(
     return x_new, integral, increment
 
 
-_MAX_BLOCKS = 8  # path blocks of an ensemble, whatever the machine
-# Smallest block worth a thread.  One 250-step ensemble on 2 cores: 5,000
-# paths take 81-85 ms as one block, 70-79 ms as 2 x 2,500, 85-100 ms as
-# 4 x 1,250; 200 paths take 9 ms as one block, 74 ms as 8 x 25.
-_MIN_BLOCK_PATHS = 2_500
+def _physical_paths(model: SquareRootModel, t: float, n_paths: int, entropy, x0: float):
+    """Terminal X and log E[S_t | X_t, N] of a physical ensemble started at x0.
 
+    log S_t = beta_bar t + (alpha_bar / sigma_bar) (X_t - x0 - kappa mu_bar t) + c_I I
+    with I the integral of X over [0, t] and c_I = kappa alpha_bar / sigma_bar
+    - alpha_bar^2 / 2.  Each path takes two draws from ``default_rng(entropy)``:
+    N ~ Poisson(lambda / 2) and X_t = 2 c Gamma(d / 2 + N), the exact
+    noncentral chi-square transition (c = sigma_bar^2 (1 - e^{-kappa t}) / (4
+    kappa), d = 4 kappa mu_bar / sigma_bar^2, lambda = x0 e^{-kappa t} / c)
+    together with its Poisson mixing count.  Given (x0, X_t), N has the Bessel
+    law that mixes the squared-Bessel-bridge transform of I (Pitman & Yor
+    1982; Glasserman & Kim, Finance Stoch. 15, 2011), so
 
-def _block_sizes(n_paths: int) -> list[int]:
-    """Near-equal block sizes of an ensemble; their number depends only on n_paths."""
-    blocks = max(1, min(_MAX_BLOCKS, n_paths // _MIN_BLOCK_PATHS))
-    size, extra = divmod(n_paths, blocks)
-    return [size + (i < extra) for i in range(blocks)]
+        E[e^{c_I I} | x0, X_t, N] = (h(gamma) / h(kappa))^{d/2 + 2N}
+                                    exp{(x0 + X_t) (k(kappa) - k(gamma)) / sigma_bar^2}
 
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _physical_paths(
-    model: SquareRootModel, n_steps: int, dt: float, n_paths: int, entropy, x0: float
-):
-    """Terminal X and log S_t, t = n_steps dt, of a physical ensemble started at x0.
-
-    log S is deterministic given the endpoints and the integral I of X:
-
-        log S_t = beta_bar t - alpha_bar^2 I / 2
-                  + (alpha_bar / sigma_bar) (X_t - x0 - kappa mu_bar t + kappa I),
-
-    so only the integral needs the dt grid.  Its trapezoid rule is kept as
-    the running sum dt (x0 / 2 + X_dt + ... + X_t) - dt X_t / 2.
-
-    The paths are split into ``_block_sizes`` blocks; block i draws from the
-    i-th child of ``SeedSequence(entropy)``.  The blocks run on a pool of as
-    many threads as there are usable cores (numpy's draws and in-place ufuncs
-    release the GIL) and are concatenated in block order, so the result
-    depends only on the entropy, never on the number of cores.  The pool is
-    shut down before returning.
+    with h(k) = k / sinh(k t / 2), k(k) = k coth(k t / 2) (both 2 / t at k = 0)
+    and gamma = sqrt(kappa^2 - 2 sigma_bar^2 c_I) = |kappa - sigma_bar alpha_bar|.
+    The integral is thereby integrated out: exp(log S) is unbiased for E[S_t]
+    by the tower property, with no time grid.  h and k are written with
+    phi1(-k t) = (1 - e^{-k t}) / (k t), which stays finite where sinh(k t / 2)
+    overflows.
     """
-    t = n_steps * dt
-    a = model.kappa * model.mu_bar
-    step = _transition(a, model.kappa, model.sigma_bar**2, dt)
-
-    def block(size: int, seed: np.random.SeedSequence):
-        rng = np.random.default_rng(seed)
-        x = np.full(size, float(x0))
-        integral = 0.5 * x
-        for _ in range(n_steps):
-            x = step(x, rng)
-            integral += x
-        integral -= 0.5 * x
-        integral *= dt
-        return x, integral
-
-    sizes = _block_sizes(n_paths)
-    seeds = np.random.SeedSequence(entropy).spawn(len(sizes))
-    from concurrent.futures import ThreadPoolExecutor  # here, so importing the package starts no pool
-
-    with ThreadPoolExecutor(max_workers=min(len(sizes), _usable_cores())) as pool:
-        parts = list(pool.map(block, sizes, seeds))
-    x = np.concatenate([part[0] for part in parts])
-    integral = np.concatenate([part[1] for part in parts])
+    if t == 0.0:
+        return np.full(n_paths, float(x0)), np.zeros(n_paths)
+    kappa, sigma = model.kappa, model.sigma_bar
+    gamma = abs(kappa - sigma * model.alpha_bar)
+    phi_k, phi_g = _phi1(-kappa * t), _phi1(-gamma * t)
+    c = 0.25 * sigma**2 * t * phi_k
+    shape = 2.0 * kappa * model.mu_bar / sigma**2  # d / 2
+    rng = np.random.default_rng(entropy)
+    n = rng.poisson(0.5 * x0 * np.exp(-kappa * t) / c, n_paths)
+    x = 2.0 * c * rng.standard_gamma(shape + n)
+    log_h_ratio = 0.5 * (kappa - gamma) * t + np.log(phi_k / phi_g)
+    k_diff = 2.0 * (1.0 / phi_k - 1.0 / phi_g) / t - kappa + gamma
     log_s = (
         model.beta_bar * t
-        - 0.5 * model.alpha_bar**2 * integral
-        + model.alpha_bar / model.sigma_bar * (x - x0 - a * t + model.kappa * integral)
+        + model.alpha_bar / sigma * (x - x0 - kappa * model.mu_bar * t)
+        + (shape + 2.0 * n) * log_h_ratio
+        + (x0 + x) * (k_diff / sigma**2)
     )
     return x, log_s
 
@@ -273,9 +245,13 @@ def simulate(
         E[ exp(-eta t) S_t e(X_t) ] / e(x0)  ~  1
 
     for candidate runs is computed on a companion physical ensemble drawn
-    from the sub-seed (seed, 1).  Physical ensembles run in blocks of paths on
-    every usable core (``_physical_paths``); the outputs depend only on the
-    seed.  Non-finite paths are dropped and counted.
+    from the sub-seed (seed, 1).  No ensemble steps on a time grid: X_t is one
+    exact transition over the horizon, and a physical path replaces S_t by its
+    exact conditional mean given the endpoints and the Poisson mixing count
+    of that transition, which integrates the path's integral of X out
+    (``_physical_paths``; Pitman & Yor 1982, Glasserman & Kim 2011).  ``dt``
+    only rounds the horizon to t = round(horizon / dt) dt.  Non-finite paths
+    are dropped and counted.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -284,17 +260,16 @@ def simulate(
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2 (the variances need two paths)")
     x_start = model.mu_bar if x0 is None else x0
-    n_steps = int(round(horizon / dt))
-    t_eff = n_steps * dt
+    t_eff = int(round(horizon / dt)) * dt
     if isinstance(measure, EigenCandidate):
-        # X alone needs no grid: one exact transition spans the horizon, with
-        # the candidate's mean reversion and the constant drift kappa mu_bar
+        # one exact transition spans the horizon, with the candidate's mean
+        # reversion and the constant drift kappa mu_bar
         x = _transition(model.kappa * model.mu_bar, measure.kappa_new, model.sigma_bar**2, t_eff)(
             np.full(n_paths, float(x_start)), np.random.default_rng(seed)
         )
         ok = np.isfinite(x)
         # companion physical ensemble for the martingale expectation
-        xp, log_s = _physical_paths(model, n_steps, dt, n_paths, (seed, 1), x_start)
+        xp, log_s = _physical_paths(model, t_eff, n_paths, (seed, 1), x_start)
         mart = np.exp(
             -measure.eta * t_eff
             + log_s
@@ -312,7 +287,7 @@ def simulate(
         )
     if measure != "physical":
         raise ValueError("measure must be 'physical' or an EigenCandidate")
-    x, log_s = _physical_paths(model, n_steps, dt, n_paths, seed, x_start)
+    x, log_s = _physical_paths(model, t_eff, n_paths, seed, x_start)
     s = np.exp(log_s)
     ok = np.isfinite(x) & np.isfinite(s)
     return SimulationResult(
