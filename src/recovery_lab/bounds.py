@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -59,6 +59,7 @@ _GRAD_TOL = 1e-10
 _ROUND_ULPS = 8.0
 _MAX_NEWTON = 200
 _UNBOUNDED_NORM = 1e10
+_PINNED_RTOL = 1e-8
 
 
 def phi(theta: float, r) -> Union[float, NDArray[np.float64]]:
@@ -121,11 +122,6 @@ def _phi_conj(theta: float, z: NDArray[np.float64], nonnegative: bool):
     return val, u ** (1.0 / theta), u ** (1.0 / theta - 1.0)
 
 
-def _phi_prime_at_one(theta: float) -> float:
-    # phi'(1) = 1/theta with limits 1 (theta=0) and -1 (theta=-1)
-    return 1.0 if theta == 0.0 else 1.0 / theta
-
-
 @dataclass(frozen=True)
 class BoundProblem:
     """Sampled (or enumerated) payoffs, prices, long-bond returns and weights.
@@ -134,12 +130,22 @@ class BoundProblem:
     price_samples    T x m matching prices Q_t
     long_bond_return T-vector of R_inf between t and t+1
     weights          T-vector of sample probabilities (uniform by default)
+
+    A problem made by ``generate_problem_from_chain`` also carries each row's
+    transition label i * n + j, which is not a constructor argument: rows
+    with one label are equal, so ``unconditional_bound`` groups them by label
+    in O(T) instead of comparing rows.  ``dataclasses.replace``, the CSV
+    format and hand-built problems carry no labels; their rows are grouped by
+    comparing them.
     """
 
     payoff_samples: NDArray[np.float64]
     price_samples: NDArray[np.float64]
     long_bond_return: NDArray[np.float64]
     weights: Optional[NDArray[np.float64]] = None
+    _labels: Optional[NDArray[np.intp]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         y = np.atleast_2d(np.asarray(self.payoff_samples, dtype=float))
@@ -175,7 +181,7 @@ class BoundResult:
     converged: bool
     dual_value: float
     j: NDArray[np.float64]
-    iterations: int = 0  # Newton steps taken
+    iterations: int = 0  # Newton steps taken; 0 when the constraints pinned J
     n_rows: int = 0  # distinct sample rows the dual was solved on
 
     @property
@@ -223,9 +229,11 @@ def conditional_bound(
     Each state solves its own small program with the conditional transition
     probabilities as weights; only exact finite-state sums are involved.  With
     the full next-state Arrow menu the constraints pin J to the recovered
-    martingale increments, so the bound equals the conditional discrepancy;
-    smaller menus give weaker per-state bounds, and the stationary-weighted
-    average always dominates the unconditional bound on the same menu.
+    martingale increments, so the bound equals the conditional discrepancy,
+    and each state's J is solved from its constraints directly, without
+    Newton steps; smaller menus give weaker per-state bounds, and the
+    stationary-weighted average always dominates the unconditional bound on
+    the same menu.
     """
     p = economy.transition.entries
     q = economy.prices.entries
@@ -240,14 +248,13 @@ def conditional_bound(
     prices = psi @ q.T  # (m, n): price of each asset per current state
     out = np.empty(n)
     for i in range(n):
-        live = p[i] > 0
-        sub = BoundProblem(
-            payoff_samples=psi.T[live],
-            price_samples=np.tile(prices[:, i], (int(live.sum()), 1)),
-            long_bond_return=r_inf[i, live],
-            weights=p[i, live],
-        )
-        out[i] = unconditional_bound(sub, theta).lambda_bar
+        # the state's program: one row per live next state, its prices fixed
+        live = np.flatnonzero(p[i])
+        w = p[i, live]
+        a = np.hstack([np.ones((live.size, 1)), psi.T[live] / r_inf[i, live, None]])
+        target = np.concatenate([[1.0], prices[:, i]])
+        j = _solve_dual(a, w, target, theta, True, _GRAD_TOL, _MAX_NEWTON)[1]
+        out[i] = float(w @ phi(theta, j))
     return out
 
 
@@ -275,20 +282,26 @@ def _distinct_rows(
 
     Rows are sorted by ``_row_key``, and a group starts wherever any column
     differs from the previous sorted row, so rows that share a key but differ
-    are never merged.  (Equal rows that the sort leaves apart fall into
-    separate groups, which costs work but changes nothing.)  When every row is
-    its own group, ``y`` and ``w`` come back as given and the group index is
-    None; distinct keys prove that without comparing the rows.
+    are never merged.  Where such rows meet, equal rows may lie apart in the
+    key order; the rows are then sorted by the key and the columns together,
+    which puts equal rows next to each other, so each distinct row is one
+    group.  When every row is its own group, ``y`` and ``w`` come back as
+    given and the group index is None; distinct keys prove that without
+    comparing the rows.
     """
     t = y.shape[0]
     key = _row_key(y)
     order = np.argsort(key)
-    key = key[order]
-    if np.all(key[1:] != key[:-1]):
+    tie = key[order[1:]] == key[order[:-1]]
+    if not tie.any():
         return y, w, None
-    ys = np.take(y, order, axis=0)
     new = np.ones(t, dtype=bool)
+    ys = np.take(y, order, axis=0)
     np.any(ys[1:] != ys[:-1], axis=1, out=new[1:])
+    if np.any(new[1:] & tie):
+        order = np.lexsort(np.vstack([y.T[::-1], key]))
+        ys = np.take(y, order, axis=0)
+        np.any(ys[1:] != ys[:-1], axis=1, out=new[1:])
     starts = np.flatnonzero(new)
     if starts.size == t:
         return y, w, None
@@ -297,46 +310,124 @@ def _distinct_rows(
     return ys[starts], np.add.reduceat(w[order], starts), group
 
 
-def unconditional_bound(
-    problem: BoundProblem,
-    theta: float,
-    nonnegative: bool = True,
-    grad_tol: float = _GRAD_TOL,
-    max_iter: int = _MAX_NEWTON,
-) -> BoundResult:
-    """Lower bound on E[phi_theta] of the martingale increment.
+def _label_rows(
+    labels: NDArray[np.intp],
+    payoff: NDArray[np.float64],
+    r: NDArray[np.float64],
+    w: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64], Optional[NDArray[np.intp]]]:
+    """Distinct rows of Y / R_inf with summed weights, grouped by transition label.
 
-    Damped Newton on the concave dual, initialized at the multipliers whose
-    implied primal is J = 1 everywhere.  Line search enforces both ascent and
-    the dual domain (the affine multiplier combination must stay negative for
-    theta < 0).  Unbounded dual ascent certifies an infeasible constraint
-    system and raises InfeasibleProblemError with the offending direction.
-
-    ``grad_tol`` is the tolerance on max |gradient|, i.e. on the constraint
-    residuals.  Near the optimum the ascent a step predicts can fall below the
-    rounding floor of the dual value (a few ulps of the magnitudes summed into
-    it), where comparing dual values only compares round-off; such a step is
-    judged by the gradient instead and accepted if it lowers max |gradient|.
-    ConvergenceError is still raised when the gradient stops falling above
-    ``grad_tol``.
-
-    The dual is a weighted sum over sample rows, so it is solved on the
-    distinct rows of [1, Y / R_inf] with their weights summed; ``j`` is then
-    expanded back to one entry per sample of positive weight.
+    Rows that share a label are equal, so the first row of each label stands
+    for it and no row is compared: ``np.bincount`` counts the labels and a
+    stable sort on them (a radix sort for labels below 2^16) brings each
+    label's weights together, which are summed pairwise as in
+    ``_distinct_rows``.  The representatives come in ``_row_key`` order, as
+    ``_distinct_rows`` gives rows with distinct keys, so a problem that loses
+    its labels (a CSV round trip, ``dataclasses.replace``) keeps its bound to
+    the last bit.  Only the representatives are divided by R_inf.  When every
+    label appears once, all rows come back in their order and the group index
+    is None.
     """
-    keep = problem.weights > 0
-    w = problem.weights[keep]
-    y = problem.payoff_samples / problem.long_bond_return[:, None]
-    if w.size < y.shape[0]:  # a boolean row mask copies slowly; skip it if all kept
-        y = y[keep]
-    q_bar = problem.weights @ problem.price_samples
-    y, w, group = _distinct_rows(y, w)
-    t, m = y.shape
-    a = np.hstack([np.ones((t, 1)), y])  # z = a @ u
-    target = np.concatenate([[1.0], q_bar])
+    counts = np.bincount(labels)
+    present = np.flatnonzero(counts)
+    if present.size == labels.size:
+        return payoff / r[:, None], w, None
+    small = labels.astype(np.uint16) if counts.size <= 1 << 16 else labels
+    order = np.argsort(small, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(counts[present])[:-1]])
+    first = order[starts]
+    reps = payoff[first] / r[first, None]
+    by_key = np.argsort(_row_key(reps))
+    index = np.empty(counts.size, dtype=np.intp)
+    index[present[by_key]] = np.arange(present.size)
+    sums = np.add.reduceat(w[order], starts)
+    return reps[by_key], sums[by_key], index[labels]
 
-    u = np.zeros(m + 1)
-    u[0] = _phi_prime_at_one(theta)
+
+def _phi_prime(theta: float, r):
+    """phi_theta'(r) = r^theta / theta, with the limit 1 + log r at theta = 0."""
+    return 1.0 + np.log(r) if theta == 0.0 else r**theta / theta
+
+
+def _pinned(
+    a: NDArray[np.float64],
+    w: NDArray[np.float64],
+    target: NDArray[np.float64],
+    theta: float,
+    nonnegative: bool,
+    tol: float,
+) -> Optional[tuple[NDArray[np.float64], NDArray[np.float64], float]]:
+    """Multipliers, J and dual value when the constraints alone fix J.
+
+    With no more distinct rows than constraints and ``a`` = [1, Y / R_inf] of
+    full row rank, the constraints a' (w J) = target have at most one
+    solution.  Constraints that no row loads on and that ask for 0 (the
+    non-live next states of a sparse chain) are dropped, and each remaining
+    one is divided by its magnitude at J = 1.  Where every row has a
+    constraint that loads on it alone, as each claim of a complete Arrow or
+    ``arrow_pairs`` menu does, those constraints give J by one division each
+    and the others are only checked.  Otherwise one QR factorization of the
+    scaled system tests the rank (no column within a relative
+    ``_PINNED_RTOL`` of the span of those before it) and solves for J.  The
+    multipliers solve a u = phi'(J), the first-order condition J =
+    phi*'(a u), so the dual value equals the primal one up to the constraint
+    residuals.  Returns None unless the rank holds, the scaled residuals are
+    within ``tol`` and J >= 0 (J > 0 for theta <= 0); Newton then solves the
+    problem and reports what fails.
+    """
+    t, k = a.shape
+    if t > k:  # more rows than constraints, live or not
+        return None
+    live = (a != 0).any(axis=0) | (target != 0)
+    b = a[:, live].T * w  # constraint c as a linear form in J
+    scale = np.abs(b).sum(axis=1)
+    if t > b.shape[0] or not scale.min() > 0:
+        return None
+    b /= scale[:, None]
+    rhs = target[live] / scale
+    loads = b != 0
+    alone = np.flatnonzero(loads.sum(axis=1) == 1)
+    own = np.full(t, -1)
+    own[loads[alone].argmax(axis=1)] = alone
+    unit = own.min() >= 0  # every row has a constraint of its own
+    if unit:
+        pivot = b[own, np.arange(t)]
+        j = rhs[own] / pivot
+    else:
+        qm, rm = np.linalg.qr(b)
+        if (np.abs(np.diagonal(rm)) <= _PINNED_RTOL * np.sqrt((b * b).sum(axis=0))).any():
+            return None
+        j = np.linalg.solve(rm, qm.T @ rhs)
+    if np.abs(b @ j - rhs).max() > tol:
+        return None
+    if nonnegative and not (j > 0 if theta <= 0 else j >= 0).all():
+        return None
+    z = _phi_prime(theta, j)
+    # v solves b' v = w z; u = v / scale
+    if unit:
+        v = np.zeros(b.shape[0])
+        v[own] = w * z / pivot
+    else:
+        v = qm @ np.linalg.solve(rm.T, w * z)
+    u = np.zeros(k)
+    u[live] = v / scale
+    g = float(u @ target - w @ _phi_conj(theta, z, nonnegative)[0])
+    return u, j, g
+
+
+def _dual_newton(
+    a: NDArray[np.float64],
+    w: NDArray[np.float64],
+    target: NDArray[np.float64],
+    theta: float,
+    nonnegative: bool,
+    grad_tol: float,
+    max_iter: int,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], float, bool, int]:
+    """Damped Newton on the dual: multipliers, J, dual value, converged, steps."""
+    u = np.zeros(a.shape[1])
+    u[0] = _phi_prime(theta, 1.0)
 
     def dual_parts(u_vec):
         z = a @ u_vec
@@ -366,7 +457,7 @@ def unconditional_bound(
             # regularized system, and to plain gradient ascent if need be
             ridge = 1e-10 * max(1.0, float(np.max(np.abs(np.diag(h)))))
             try:
-                direction = np.linalg.solve(h - ridge * np.eye(m + 1), -grad)
+                direction = np.linalg.solve(h - ridge * np.eye(a.shape[1]), -grad)
             except np.linalg.LinAlgError:
                 direction = grad.copy()
             if grad @ direction <= 0:
@@ -403,6 +494,79 @@ def unconditional_bound(
         raise ConvergenceError(
             f"dual Newton did not reach tolerance (grad {np.max(np.abs(grad)):.2e})"
         )
+    return u, j, g_val, converged, iterations
+
+
+def _solve_dual(
+    a: NDArray[np.float64],
+    w: NDArray[np.float64],
+    target: NDArray[np.float64],
+    theta: float,
+    nonnegative: bool,
+    grad_tol: float,
+    max_iter: int,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], float, bool, int]:
+    """Multipliers, J, dual value, converged and Newton steps of one program:
+    J from the constraints when they pin it, by dual Newton otherwise."""
+    pinned = _pinned(a, w, target, theta, nonnegative, grad_tol)
+    if pinned is not None:
+        return (*pinned, True, 0)
+    return _dual_newton(a, w, target, theta, nonnegative, grad_tol, max_iter)
+
+
+def unconditional_bound(
+    problem: BoundProblem,
+    theta: float,
+    nonnegative: bool = True,
+    grad_tol: float = _GRAD_TOL,
+    max_iter: int = _MAX_NEWTON,
+) -> BoundResult:
+    """Lower bound on E[phi_theta] of the martingale increment.
+
+    Damped Newton on the concave dual, initialized at the multipliers whose
+    implied primal is J = 1 everywhere.  Line search enforces both ascent and
+    the dual domain (the affine multiplier combination must stay negative for
+    theta < 0).  Unbounded dual ascent certifies an infeasible constraint
+    system and raises InfeasibleProblemError with the offending direction.
+
+    ``grad_tol`` is the tolerance on max |gradient|, i.e. on the constraint
+    residuals.  Near the optimum the ascent a step predicts can fall below the
+    rounding floor of the dual value (a few ulps of the magnitudes summed into
+    it), where comparing dual values only compares round-off; such a step is
+    judged by the gradient instead and accepted if it lowers max |gradient|.
+    ConvergenceError is still raised when the gradient stops falling above
+    ``grad_tol``.
+
+    The dual is a weighted sum over sample rows, so it is solved on the
+    distinct rows of [1, Y / R_inf] with their weights summed; ``j`` is then
+    expanded back to one entry per sample of positive weight.  Rows of a
+    problem made by ``generate_problem_from_chain`` are grouped by their
+    transition label, other problems' rows by comparing them.  When there are
+    no more distinct rows than constraints and the rows are independent, the
+    constraints pin J (the complete ``arrow_pairs`` menu, a state's full
+    Arrow menu in ``conditional_bound``): J is then solved from them
+    directly, with each constraint scaled by its own magnitude, and the
+    result reports ``iterations = 0``; see ``_pinned``.
+    """
+    keep = problem.weights > 0
+    w = problem.weights[keep]
+    payoff, r = problem.payoff_samples, problem.long_bond_return
+    labels = problem._labels
+    if w.size < keep.size:  # a boolean row mask copies slowly; skip it if all kept
+        payoff, r = payoff[keep], r[keep]
+        labels = None if labels is None else labels[keep]
+    q_bar = problem.weights @ problem.price_samples
+    if labels is None:
+        y, w, group = _distinct_rows(payoff / r[:, None], w)
+    else:
+        y, w, group = _label_rows(labels, payoff, r, w)
+    t = y.shape[0]
+    a = np.hstack([np.ones((t, 1)), y])  # z = a @ u
+    target = np.concatenate([[1.0], q_bar])
+
+    u, j, g_val, converged, iterations = _solve_dual(
+        a, w, target, theta, nonnegative, grad_tol, max_iter
+    )
     if nonnegative:
         primal = float(w @ phi(theta, j))
     else:
@@ -464,7 +628,8 @@ def generate_problem_from_chain(
     pins the martingale increment completely).  Population mode enumerates
     every positive-probability transition weighted by the stationary law;
     sampled mode simulates a path of length ``horizon_t``.  Long-bond returns
-    are read from ``recovered``.
+    are read from ``recovered``.  Each row carries its transition label
+    i * n + j (see ``BoundProblem``).
     """
     p = economy.transition.entries
     q = economy.prices.entries
@@ -504,23 +669,23 @@ def generate_problem_from_chain(
     if pairs_menu:
         if mode != "population":
             raise ValueError("the transition-contingent menu requires population mode")
-        # one claim per live transition, contingent on both endpoints
-        live_i, live_j = np.nonzero(p)
-        n_assets = live_i.size
-        y = np.zeros((rows_i.size, n_assets))
-        prices_rows = np.zeros((rows_i.size, n_assets))
-        for a, (ai, aj) in enumerate(zip(live_i, live_j)):
-            y[:, a] = (rows_i == ai) & (rows_j == aj)
-            prices_rows[:, a] = (rows_i == ai) * q[ai, aj]
+        # one claim per live transition, contingent on both endpoints: the
+        # rows are the same live transitions in the same order, so the payoff
+        # block is the identity and a row's prices are its state's claims
+        y = np.eye(rows_i.size)
+        prices_rows = (rows_i[:, None] == rows_i[None, :]) * q[rows_i, rows_j]
     else:
-        y = psi.T[rows_j]
-        prices_rows = prices.T[rows_i]
-    return BoundProblem(
+        # np.take gathers rows about 3x faster than fancy indexing here
+        y = np.take(psi.T, rows_j, axis=0)
+        prices_rows = np.take(prices.T, rows_i, axis=0)
+    problem = BoundProblem(
         payoff_samples=y,
         price_samples=prices_rows,
         long_bond_return=recovered.r_inf[rows_i, rows_j],
         weights=weights,
     )
+    object.__setattr__(problem, "_labels", rows_i * n + rows_j)
+    return problem
 
 
 def problem_to_csv(problem: BoundProblem, path) -> None:

@@ -86,6 +86,10 @@ class SimulationResult:
     martingale_se: Optional[float] = None
     discounted_bond_mean: Optional[float] = None
     discounted_bond_se: Optional[float] = None
+    # False when the estimator behind the reported standard error (the bond
+    # price, or the candidate's martingale) has infinite variance: the mean
+    # is then unreliable and its standard error meaningless
+    variance_finite: bool = True
 
 
 def drift_identity_residual(model: SquareRootModel, cand: EigenCandidate) -> tuple[float, float]:
@@ -182,6 +186,35 @@ def square_root_step(
     return x_new, integral, increment
 
 
+def _bridge_terms(model: SquareRootModel, t: float) -> tuple[float, float, float]:
+    """Constants of ``_physical_paths`` over t > 0: the transition scale c,
+    log(h(gamma) / h(kappa)) and k(kappa) - k(gamma)."""
+    kappa, sigma = model.kappa, model.sigma_bar
+    gamma = abs(kappa - sigma * model.alpha_bar)
+    phi_k, phi_g = _phi1(-kappa * t), _phi1(-gamma * t)
+    c = 0.25 * sigma**2 * t * phi_k
+    log_h_ratio = 0.5 * (kappa - gamma) * t + np.log(phi_k / phi_g)
+    k_diff = 2.0 * (1.0 / phi_k - 1.0 / phi_g) / t - kappa + gamma
+    return c, log_h_ratio, k_diff
+
+
+def _variance_finite(model: SquareRootModel, t: float, upsilon: float = 0.0) -> bool:
+    """Whether the per-path estimator of ``_physical_paths`` has finite variance.
+
+    exp(log S_t + upsilon (X_t - x0)) is affine-exponential in N and X_t,
+    with X_t loading b = alpha_bar / sigma_bar + (k(kappa) - k(gamma)) /
+    sigma_bar^2 + upsilon.  Given N, X_t = 2 c Gamma(d / 2 + N), so
+    E[exp(2 b X_t) | N] is finite iff 4 c b < 1; the Poisson N has every
+    exponential moment.  So the second moment, and with it the reported
+    standard error, exists iff 4 c b < 1.
+    """
+    if t == 0.0:
+        return True
+    c, _, k_diff = _bridge_terms(model, t)
+    b = model.alpha_bar / model.sigma_bar + k_diff / model.sigma_bar**2 + upsilon
+    return bool(4.0 * c * b < 1.0)
+
+
 def _physical_paths(model: SquareRootModel, t: float, n_paths: int, entropy, x0: float):
     """Terminal X and log E[S_t | X_t, N] of a physical ensemble started at x0.
 
@@ -208,15 +241,11 @@ def _physical_paths(model: SquareRootModel, t: float, n_paths: int, entropy, x0:
     if t == 0.0:
         return np.full(n_paths, float(x0)), np.zeros(n_paths)
     kappa, sigma = model.kappa, model.sigma_bar
-    gamma = abs(kappa - sigma * model.alpha_bar)
-    phi_k, phi_g = _phi1(-kappa * t), _phi1(-gamma * t)
-    c = 0.25 * sigma**2 * t * phi_k
+    c, log_h_ratio, k_diff = _bridge_terms(model, t)
     shape = 2.0 * kappa * model.mu_bar / sigma**2  # d / 2
     rng = np.random.default_rng(entropy)
     n = rng.poisson(0.5 * x0 * np.exp(-kappa * t) / c, n_paths)
     x = 2.0 * c * rng.standard_gamma(shape + n)
-    log_h_ratio = 0.5 * (kappa - gamma) * t + np.log(phi_k / phi_g)
-    k_diff = 2.0 * (1.0 / phi_k - 1.0 / phi_g) / t - kappa + gamma
     log_s = (
         model.beta_bar * t
         + model.alpha_bar / sigma * (x - x0 - kappa * model.mu_bar * t)
@@ -251,7 +280,10 @@ def simulate(
     of that transition, which integrates the path's integral of X out
     (``_physical_paths``; Pitman & Yor 1982, Glasserman & Kim 2011).  ``dt``
     only rounds the horizon to t = round(horizon / dt) dt.  Non-finite paths
-    are dropped and counted.
+    are dropped and counted.  ``variance_finite`` reports whether the
+    estimator behind the standard error has a finite second moment, from a
+    closed-form test (``_variance_finite``); where it does not, as for long
+    horizons, the mean and its standard error should not be trusted.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -284,6 +316,7 @@ def simulate(
             n_nan=int(np.sum(~ok) + np.sum(~ok_m)),
             martingale_mean=m_mean,
             martingale_se=m_se,
+            variance_finite=_variance_finite(model, t_eff, measure.upsilon),
         )
     if measure != "physical":
         raise ValueError("measure must be 'physical' or an EigenCandidate")
@@ -296,6 +329,7 @@ def simulate(
         n_nan=int(np.sum(~ok)),
         discounted_bond_mean=float(np.mean(s[ok])),
         discounted_bond_se=float(np.std(s[ok], ddof=1) / np.sqrt(ok.sum())),
+        variance_finite=_variance_finite(model, t_eff),
     )
 
 

@@ -66,16 +66,27 @@ def rouwenhorst(n, rho):
     return mat
 
 
-def stagnation_grid_economy():
-    """36-state economy on a 6 x 6 two-factor grid with a distorted power-utility SDF."""
+def distorted_grid_economy(entropy):
+    """36-state economy on a 6 x 6 two-factor grid with a distorted power-utility SDF.
+
+    The grid chain has the calibration's persistences, so its stationary
+    transition weights run from about 1e-24 to 1e-1.  The stream
+    ``SeedSequence(entropy)`` first skips 36 draws, then draws consumption
+    and the distortion exp(0.1 eps).
+    """
     p = np.kron(rouwenhorst(6, np.exp(-0.021)), rouwenhorst(6, np.exp(-0.013)))
     p /= p.sum(axis=1, keepdims=True)
-    rng = np.random.default_rng(np.random.SeedSequence((102, 1)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
     rng.normal(0.0, 0.05, size=36)
     c = np.exp(rng.normal(0.0, 0.05, size=36))
     s = np.exp(-0.002 - 10.0 * 0.001) * (c[None, :] / c[:, None]) ** -10.0
     s = s * np.exp(0.1 * rng.standard_normal((36, 36)))
     return mk.build_economy(mk.StochasticMatrix(p), mk.SdfMatrix(s))
+
+
+def stagnation_grid_economy():
+    """The distorted grid economy of stream (102, 1)."""
+    return distorted_grid_economy((102, 1))
 
 
 def random_economy(rng, n=None):

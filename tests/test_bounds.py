@@ -2,17 +2,19 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from recovery_lab import bounds as bd
 from recovery_lab import markov as mk
-from recovery_lab.exceptions import InfeasibleProblemError
+from recovery_lab import preferences as pref
+from recovery_lab.exceptions import ConvergenceError, InfeasibleProblemError
 
-from conftest import random_recursive_economy
+from conftest import count_calls, distorted_grid_economy, random_recursive_economy
 
 
 class TestPhi:
@@ -483,3 +485,171 @@ class TestProblemGeneration:
         bad.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="weight, r_infty"):
             bd.problem_from_csv(bad)
+
+
+def _sparse_recursive_economy(rng, n, zero_share):
+    """Recursive-utility economy on a random chain with zero transitions.
+
+    The diagonal and the cycle i -> i + 1 stay positive, so the chain is
+    primitive whatever else is zeroed.
+    """
+    raw = rng.dirichlet(np.ones(n), size=n) + 0.02
+    drop = rng.random((n, n)) < zero_share
+    idx = np.arange(n)
+    drop[idx, idx] = False
+    drop[idx, (idx + 1) % n] = False
+    raw[drop] = 0.0
+    transition = mk.StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
+    spec = pref.RecursiveUtilitySpec(
+        delta=0.02, gamma=10.0, g_c=0.0, c=rng.uniform(0.5, 2.0, size=n)
+    )
+    value = pref.solve_continuation_value(spec, transition)
+    return mk.build_economy(transition, pref.recursive_sdf(spec, transition, value))
+
+
+class TestTransitionLabels:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        horizon=st.integers(20, 3_000),
+        theta=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+    )
+    def test_label_groups_match_row_comparison(self, seed, n, horizon, theta):
+        rng = np.random.default_rng(seed)
+        eco = random_recursive_economy(rng, n)
+        labelled = bd.generate_problem_from_chain(
+            eco, mk.recover(eco), "arrow", horizon_t=horizon, mode="sampled", seed=seed
+        )
+        plain = dataclasses.replace(labelled)
+        assert labelled._labels is not None and plain._labels is None
+
+        def outcome(problem):
+            # a short path can miss prices that J > 0 could meet
+            try:
+                return bd.unconditional_bound(problem, theta)
+            except (ConvergenceError, InfeasibleProblemError) as exc:
+                return type(exc)
+
+        got, want = outcome(labelled), outcome(plain)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want
+            return
+        assert got.n_rows == want.n_rows
+        assert got.lambda_bar == pytest.approx(want.lambda_bar, rel=1e-12, abs=1e-300)
+        np.testing.assert_allclose(got.j, want.j, rtol=0, atol=1e-10)
+
+    def test_labels_are_the_transitions(self, recursive_economy):
+        rec = mk.recover(recursive_economy)
+        pop = bd.generate_problem_from_chain(recursive_economy, rec, "arrow")
+        rows_i, rows_j = np.nonzero(recursive_economy.transition.entries)
+        np.testing.assert_array_equal(pop._labels, rows_i * 2 + rows_j)
+        samp = bd.generate_problem_from_chain(
+            recursive_economy, rec, "arrow", horizon_t=300, mode="sampled", seed=3
+        )
+        q = recursive_economy.prices.entries
+        i = np.argmax(np.all(samp.price_samples[:, None, :] == q[None], axis=2), axis=1)
+        j = np.argmax(samp.payoff_samples, axis=1)
+        np.testing.assert_array_equal(samp._labels, i * 2 + j)
+        # labels are no constructor argument and take no part in repr
+        assert bd.BoundProblem(
+            samp.payoff_samples, samp.price_samples, samp.long_bond_return
+        )._labels is None
+        assert "_labels" not in repr(samp)
+
+
+class TestPinnedMenus:
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
+    def test_pairs_menu_on_distorted_grid_equals_population(self, theta):
+        # stationary transition weights from 1e-24 to 1e-1: the dual Newton
+        # raised or stopped short here, while the complete menu pins J
+        eco = distorted_grid_economy((0, 1))
+        rec = mk.recover(eco)
+        prob = bd.generate_problem_from_chain(eco, rec, "arrow_pairs")
+        assert prob.weights.min() < 1e-23 and prob.weights.max() > 0.05
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = bd.unconditional_bound(prob, theta)
+        pop = bd.population_discrepancy(eco, rec, theta)
+        assert res.iterations == 0 and res.converged
+        assert res.lambda_bar == pytest.approx(pop, rel=1e-10)
+        assert res.duality_gap <= 1e-10
+        live = np.nonzero(eco.transition.entries)
+        np.testing.assert_allclose(res.j, rec.h_increments[live], rtol=1e-10)
+
+    def test_pairs_menu_matches_per_claim_construction(self):
+        eco = _sparse_recursive_economy(np.random.default_rng(11), 5, 0.4)
+        prob = bd.generate_problem_from_chain(eco, mk.recover(eco), "arrow_pairs")
+        p, q = eco.transition.entries, eco.prices.entries
+        rows_i, rows_j = np.nonzero(p)
+        assert rows_i.size < 25  # some transitions are not live
+        y = np.zeros((rows_i.size, rows_i.size))
+        prices = np.zeros_like(y)
+        for a, (ai, aj) in enumerate(zip(rows_i, rows_j)):
+            y[:, a] = (rows_i == ai) & (rows_j == aj)
+            prices[:, a] = (rows_i == ai) * q[ai, aj]
+        np.testing.assert_array_equal(prob.payoff_samples, y)
+        np.testing.assert_array_equal(prob.price_samples, prices)
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 10),
+        zero_share=st.sampled_from([0.0, 0.3, 0.6]),
+        theta=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        spanning=st.booleans(),
+    )
+    def test_complete_conditional_menu_is_discrepancy_without_newton(
+        self, monkeypatch, seed, n, zero_share, theta, spanning
+    ):
+        # the Arrow menu gives each next state a claim of its own; a random
+        # menu of n payoffs spans the same space without any such claim
+        rng = np.random.default_rng(seed)
+        eco = _sparse_recursive_economy(rng, n, zero_share)
+        menu = rng.uniform(0.5, 1.5, size=(n, n)) if spanning else "arrow"
+        rec = mk.recover(eco)
+        with monkeypatch.context() as patch:
+            newton = count_calls(patch, bd, "_dual_newton")
+            cb = bd.conditional_bound(eco, rec, theta, payoff_spec=menu)
+        assert newton == []
+        cd = bd.conditional_discrepancy(eco, rec, theta)
+        np.testing.assert_allclose(cb, cd, rtol=0, atol=1e-12)
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 6),
+        data=st.data(),
+        theta=st.sampled_from([-1.0, 0.0, 1.0]),
+    )
+    def test_rank_deficient_rows_reach_newton(self, monkeypatch, seed, m, data, theta):
+        # t <= m + 1 distinct rows on one line: the constraints leave J free
+        t = data.draw(st.integers(3, m + 1))
+        rng = np.random.default_rng(seed)
+        s = rng.permutation(np.arange(1.0, t + 1.0))
+        v = rng.uniform(0.5, 2.0, size=m)
+        w = rng.dirichlet(np.ones(t))
+        r = rng.uniform(0.9, 1.1, size=t)
+        j_feasible = rng.uniform(0.5, 1.5, size=t)
+        j_feasible /= w @ j_feasible
+        y = s[:, None] * v
+        q = (w * j_feasible / r) @ y
+        prob = bd.BoundProblem(y, np.tile(q, (t, 1)), r, w)
+        with monkeypatch.context() as patch:
+            newton = count_calls(patch, bd, "_dual_newton")
+            res = bd.unconditional_bound(prob, theta)
+        assert len(newton) == 1 and res.iterations >= 1 and res.converged
+        # the same constraints with the repeated payoff columns dropped
+        one = bd.BoundProblem(y[:, :1], np.tile(q[:1], (t, 1)), r, w)
+        assert np.max(np.abs(res.constraint_residuals)) <= 1e-10
+        assert res.lambda_bar == pytest.approx(
+            bd.unconditional_bound(one, theta).lambda_bar, abs=1e-9
+        )

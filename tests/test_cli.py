@@ -14,7 +14,12 @@ from recovery_lab import cli
 from recovery_lab import lrr as lrr_mod
 from recovery_lab import markov as mk
 
-from conftest import count_calls, random_recursive_economy, stagnation_grid_economy
+from conftest import (
+    count_calls,
+    distorted_grid_economy,
+    random_recursive_economy,
+    stagnation_grid_economy,
+)
 
 
 @pytest.fixture
@@ -372,6 +377,24 @@ class TestBounds:
         payload = json.loads((out / "bounds.json").read_text())
         for entry in payload["theta"].values():
             assert entry["lambda_bar"] <= entry["population_discrepancy"] + 1e-10
+            assert entry["duality_gap"] <= 1e-10
+
+    def test_pairs_menu_on_distorted_grid_pins_population_value(self, tmp_path):
+        # weights from 1e-24 to 1e-1: the dual Newton stopped on absolute
+        # floors here and the run exited 2; the complete transition menu
+        # pins J, which the constraints then give directly
+        path = tmp_path / "economy.json"
+        path.write_text(json.dumps(mk.economy_to_dict(distorted_grid_economy((0, 1)))))
+        out = tmp_path / "bnd"
+        argv = ["bounds", "--input", str(path), "--out", str(out)]
+        assert cli.main([*argv, "--override", "payoff=arrow_pairs", "--theta=-1,0,1"]) == 0
+        payload = json.loads((out / "bounds.json").read_text())
+        assert payload["n_assets"] == 36 * 36
+        for entry in payload["theta"].values():
+            assert entry["iterations"] == 0
+            assert entry["lambda_bar"] == pytest.approx(
+                entry["population_discrepancy"], rel=1e-10
+            )
             assert entry["duality_gap"] <= 1e-10
 
 

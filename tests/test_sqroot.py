@@ -395,6 +395,24 @@ class TestExactValues:
         assert res.n_nan == 0
         assert np.isfinite(res.discounted_bond_mean) and res.discounted_bond_mean > 0.0
 
+    def test_variance_flag_follows_closed_form(self):
+        m = make_model()
+        # horizon 40: 1 - 4 c b = -0.98, E[S~^2] is infinite, and the bond
+        # mean lands thousands of its standard errors below e^-2
+        res = sq.simulate(m, "physical", 40.0, 1 / 100, 2_000, seed=9)
+        assert not res.variance_finite
+        assert abs(res.discounted_bond_mean - math.exp(-2.0)) > 100 * res.discounted_bond_se
+        # the benchmark's one-period runs: 1 - 4 c b = 0.72 for S~
+        assert sq.simulate(m, "physical", 1.0, 1 / 250, 2_000, seed=9).variance_finite
+        for cand in sq.eigen_candidates(m):
+            assert sq.simulate(m, cand, 1.0, 1 / 250, 2_000, seed=9).variance_finite
+        assert sq.simulate(m, "physical", 0.0, 1 / 250, 2_000, seed=9).variance_finite
+        # the rejected candidate of a faster-reverting model: its martingale
+        # loading upsilon makes the variance infinite at horizon 40
+        fast = make_model(kappa=0.8)
+        rejected = [c for c in sq.eigen_candidates(fast) if not c.ergodic]
+        assert not sq.simulate(fast, rejected[0], 40.0, 1 / 100, 2_000, seed=9).variance_finite
+
 
 class TestInterfaces:
     def test_model_json_round_trip(self):
