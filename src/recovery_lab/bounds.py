@@ -322,27 +322,33 @@ def _label_rows(
     for it and no row is compared: ``np.bincount`` counts the labels and a
     stable sort on them (a radix sort for labels below 2^16) brings each
     label's weights together, which are summed pairwise as in
-    ``_distinct_rows``.  The representatives come in ``_row_key`` order, as
-    ``_distinct_rows`` gives rows with distinct keys, so a problem that loses
-    its labels (a CSV round trip, ``dataclasses.replace``) keeps its bound to
-    the last bit.  Only the representatives are divided by R_inf.  When every
-    label appears once, all rows come back in their order and the group index
-    is None.
+    ``_distinct_rows``.  Only the representatives are divided by R_inf, and
+    ``_distinct_rows`` then merges those that are equal across labels (all
+    rows i -> j of a constant discount factor).  They come in ``_row_key``
+    order, as ``_distinct_rows`` gives rows with distinct keys, so where the
+    labels' rows differ a problem that loses its labels (a CSV round trip,
+    ``dataclasses.replace``) keeps its bound to the last bit; where they
+    merge, the summed weights may differ in the last bits.  When every label
+    appears once, the labels say nothing and the rows go to
+    ``_distinct_rows`` as they are.
     """
     counts = np.bincount(labels)
     present = np.flatnonzero(counts)
     if present.size == labels.size:
-        return payoff / r[:, None], w, None
+        return _distinct_rows(payoff / r[:, None], w)
     small = labels.astype(np.uint16) if counts.size <= 1 << 16 else labels
     order = np.argsort(small, kind="stable")
     starts = np.concatenate([[0], np.cumsum(counts[present])[:-1]])
     first = order[starts]
     reps = payoff[first] / r[first, None]
     by_key = np.argsort(_row_key(reps))
-    index = np.empty(counts.size, dtype=np.intp)
+    index = np.zeros(counts.size, dtype=np.intp)
     index[present[by_key]] = np.arange(present.size)
     sums = np.add.reduceat(w[order], starts)
-    return reps[by_key], sums[by_key], index[labels]
+    reps, sums, merged = _distinct_rows(reps[by_key], sums[by_key])
+    if merged is not None:
+        index = merged[index]
+    return reps, sums, index[labels]
 
 
 def _phi_prime(theta: float, r):
@@ -364,17 +370,14 @@ def _pinned(
     full row rank, the constraints a' (w J) = target have at most one
     solution.  Constraints that no row loads on and that ask for 0 (the
     non-live next states of a sparse chain) are dropped, and each remaining
-    one is divided by its magnitude at J = 1.  Where every row has a
-    constraint that loads on it alone, as each claim of a complete Arrow or
-    ``arrow_pairs`` menu does, those constraints give J by one division each
-    and the others are only checked.  Otherwise one QR factorization of the
+    one is divided by its magnitude at J = 1.  One QR factorization of the
     scaled system tests the rank (no column within a relative
     ``_PINNED_RTOL`` of the span of those before it) and solves for J.  The
     multipliers solve a u = phi'(J), the first-order condition J =
     phi*'(a u), so the dual value equals the primal one up to the constraint
-    residuals.  Returns None unless the rank holds, the scaled residuals are
-    within ``tol`` and J >= 0 (J > 0 for theta <= 0); Newton then solves the
-    problem and reports what fails.
+    residuals.  Returns None unless the rank holds, the constraint residuals,
+    scaled and unscaled, are within ``tol`` and J >= 0 (J > 0 for
+    theta <= 0); Newton then solves the problem and reports what fails.
     """
     t, k = a.shape
     if t > k:  # more rows than constraints, live or not
@@ -386,32 +389,19 @@ def _pinned(
         return None
     b /= scale[:, None]
     rhs = target[live] / scale
-    loads = b != 0
-    alone = np.flatnonzero(loads.sum(axis=1) == 1)
-    own = np.full(t, -1)
-    own[loads[alone].argmax(axis=1)] = alone
-    unit = own.min() >= 0  # every row has a constraint of its own
-    if unit:
-        pivot = b[own, np.arange(t)]
-        j = rhs[own] / pivot
-    else:
-        qm, rm = np.linalg.qr(b)
-        if (np.abs(np.diagonal(rm)) <= _PINNED_RTOL * np.sqrt((b * b).sum(axis=0))).any():
-            return None
-        j = np.linalg.solve(rm, qm.T @ rhs)
-    if np.abs(b @ j - rhs).max() > tol:
+    qm, rm = np.linalg.qr(b)
+    if (np.abs(np.diagonal(rm)) <= _PINNED_RTOL * np.sqrt((b * b).sum(axis=0))).any():
+        return None
+    j = np.linalg.solve(rm, qm.T @ rhs)
+    residual = np.abs(b @ j - rhs)
+    if residual.max() > tol or (residual * scale).max() > tol:
         return None
     if nonnegative and not (j > 0 if theta <= 0 else j >= 0).all():
         return None
     z = _phi_prime(theta, j)
     # v solves b' v = w z; u = v / scale
-    if unit:
-        v = np.zeros(b.shape[0])
-        v[own] = w * z / pivot
-    else:
-        v = qm @ np.linalg.solve(rm.T, w * z)
     u = np.zeros(k)
-    u[live] = v / scale
+    u[live] = qm @ np.linalg.solve(rm.T, w * z) / scale
     g = float(u @ target - w @ _phi_conj(theta, z, nonnegative)[0])
     return u, j, g
 

@@ -320,6 +320,21 @@ class TestUnconditionalBound:
             assert got.lambda_bar == pytest.approx(want.lambda_bar, abs=1e-12)
             np.testing.assert_allclose(got.j, want.j[order], atol=1e-12)
 
+    def test_equal_rows_split_by_a_key_tie_form_one_group(self):
+        # a and b tie on the key, so the key order interleaves them; equal
+        # rows must still meet, or three distinct rows count as more than
+        # the constraints and miss the pinned solve
+        distinct = np.array([[math.sqrt(3.0), 0.0], [0.0, math.sqrt(2.0)], [1.0, 1.0]])
+        order = [0, 1, 0, 1, 2, 1, 0, 2, 1, 2]
+        y = distinct[order]
+        reps, w, group = bd._distinct_rows(y, np.full(10, 0.1))
+        assert reps.shape == (3, 2)
+        np.testing.assert_array_equal(reps[group], y)
+        np.testing.assert_allclose(np.bincount(group, minlength=3), w / 0.1)
+        q = np.array([0.3, 0.4, 0.3]) @ distinct
+        prob = bd.BoundProblem(y, np.tile(q, (10, 1)), np.ones(10))
+        assert bd.unconditional_bound(prob, 0.0).iterations == 0
+
     def test_infeasible_reported_with_direction(self):
         # a claim paying exactly R_inf must have weighted price 1; demand 2
         t = 50
@@ -539,6 +554,29 @@ class TestTransitionLabels:
         assert got.lambda_bar == pytest.approx(want.lambda_bar, rel=1e-12, abs=1e-300)
         np.testing.assert_allclose(got.j, want.j, rtol=0, atol=1e-10)
 
+    def test_rows_equal_across_labels_merge(self):
+        # a constant discount factor gives R_inf within an ulp of 1 / 0.97
+        # everywhere, so rows i -> j and i' -> j are equal for many i, i':
+        # labels alone would keep all n^2 of them apart
+        rng = np.random.default_rng(0)
+        p = mk.StochasticMatrix(rng.dirichlet(np.ones(4), size=4))
+        eco = mk.build_economy(p, mk.SdfMatrix(np.full((4, 4), 0.97)))
+        rec = mk.recover(eco)
+        for mode in ("population", "sampled"):
+            labelled = bd.generate_problem_from_chain(
+                eco, rec, "arrow", horizon_t=2_000, mode=mode, seed=1
+            )
+            plain = dataclasses.replace(labelled)
+            n_labels = np.unique(labelled._labels).size
+            for theta in (-1.0, 0.0, 1.0):
+                got = bd.unconditional_bound(labelled, theta)
+                want = bd.unconditional_bound(plain, theta)
+                assert got.n_rows == want.n_rows < n_labels
+                assert got.iterations == want.iterations
+                # merged weights are summed in another order, and Newton
+                # stops at max|grad| <= 1e-10 from slightly different data
+                assert got.lambda_bar == pytest.approx(want.lambda_bar, rel=1e-9, abs=1e-15)
+
     def test_labels_are_the_transitions(self, recursive_economy):
         rec = mk.recover(recursive_economy)
         pop = bd.generate_problem_from_chain(recursive_economy, rec, "arrow")
@@ -653,3 +691,17 @@ class TestPinnedMenus:
         assert res.lambda_bar == pytest.approx(
             bd.unconditional_bound(one, theta).lambda_bar, abs=1e-9
         )
+
+    def test_pinned_point_meets_grad_tol_unscaled(self):
+        # payoffs of 1e9: the scaled residuals of the pinned J are round-off,
+        # its unscaled ones about 2e-7, so at grad_tol 1e-10 Newton must
+        # finish, and converged means max|residual| <= grad_tol either way
+        distinct = np.array([[3.0, 0.0], [0.0, 2.0], [1.0, 1.0]]) * 1e9
+        w = np.array([0.3, 0.4, 0.3])
+        j = np.array([1.2, 0.85, 1.0]) / (w @ [1.2, 0.85, 1.0])
+        prob = bd.BoundProblem(distinct, np.tile((w * j) @ distinct, (3, 1)), np.ones(3), w)
+        for tol in (1e-10, 1e-6):
+            res = bd.unconditional_bound(prob, 0.0, grad_tol=tol)
+            assert res.converged
+            assert np.max(np.abs(res.constraint_residuals)) <= tol
+            assert (res.iterations == 0) == (tol == 1e-6)
