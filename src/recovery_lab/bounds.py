@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,6 +57,7 @@ __all__ = [
 
 _GRAD_TOL = 1e-10
 _ROUND_ULPS = 8.0
+_CONFIRM_ULPS = 64.0
 _MAX_NEWTON = 200
 _UNBOUNDED_NORM = 1e10
 _PINNED_RTOL = 1e-8
@@ -122,55 +123,100 @@ def _phi_conj(theta: float, z: NDArray[np.float64], nonnegative: bool):
     return val, u ** (1.0 / theta), u ** (1.0 / theta - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundProblem:
-    """Sampled (or enumerated) payoffs, prices, long-bond returns and weights.
+    """Payoffs, prices, long-bond returns and weights of T sample rows.
 
     payoff_samples   T x m realizations of Y_{t+1}
     price_samples    T x m matching prices Q_t
     long_bond_return T-vector of R_inf between t and t+1
     weights          T-vector of sample probabilities (uniform by default)
 
-    A problem made by ``generate_problem_from_chain`` also carries each row's
-    transition label i * n + j, which is not a constructor argument: rows
-    with one label are equal, so ``unconditional_bound`` groups them by label
-    in O(T) instead of comparing rows.  ``dataclasses.replace``, the CSV
-    format and hand-built problems carry no labels; their rows are grouped by
-    comparing them.
+    The rows are stored as tables and each row's index into them.  The
+    constructor wraps the arrays it is given as tables of T rows with
+    identity indices, and copies nothing.  A problem made by
+    ``generate_problem_from_chain`` holds per-state tables instead: the
+    payoffs by next state j (n x m), the prices by current state i (n x m),
+    R_inf by transition (n x n), and each row's indices (i, j), so its
+    transition label i * n + j groups equal rows in O(T).  The three row
+    arrays above are gathered from the tables on each access, not cached, so
+    each access allocates T x m floats for a chain-made problem;
+    ``unconditional_bound`` and ``kazemi_test`` work from the tables.
+    ``dataclasses.replace`` and the CSV format give the plain dense copy.
     """
 
     payoff_samples: NDArray[np.float64]
     price_samples: NDArray[np.float64]
     long_bond_return: NDArray[np.float64]
     weights: Optional[NDArray[np.float64]] = None
-    _labels: Optional[NDArray[np.intp]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        y = np.atleast_2d(np.asarray(self.payoff_samples, dtype=float))
-        q = np.atleast_2d(np.asarray(self.price_samples, dtype=float))
-        r = np.atleast_1d(np.asarray(self.long_bond_return, dtype=float))
+    def __init__(self, payoff_samples, price_samples, long_bond_return, weights=None):
+        y = np.atleast_2d(np.asarray(payoff_samples, dtype=float))
+        q = np.atleast_2d(np.asarray(price_samples, dtype=float))
+        r = np.atleast_1d(np.asarray(long_bond_return, dtype=float))
         if y.shape != q.shape or y.shape[0] != r.shape[0]:
             raise ValueError("payoffs, prices and returns have inconsistent shapes")
+        self._store(y, q, r, None, weights)
+
+    @classmethod
+    def _by_transition(cls, payoff_table, price_table, r_table, rows_i, rows_j, weights):
+        """Rows i -> j: payoffs ``payoff_table[j]``, prices ``price_table[i]``
+        and long-bond return ``r_table[i, j]``."""
+        problem = cls.__new__(cls)
+        problem._store(payoff_table, price_table, r_table, (rows_i, rows_j), weights)
+        return problem
+
+    def _store(self, y, q, r, index, weights) -> None:
         if np.any(r <= 0):
             raise ValueError("long bond returns must be strictly positive")
-        if self.weights is None:
-            w = np.full(y.shape[0], 1.0 / y.shape[0])
+        t = y.shape[0] if index is None else index[0].size
+        if weights is None:
+            w = np.full(t, 1.0 / t)
         else:
-            w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-            if w.shape[0] != y.shape[0] or np.any(w < 0):
+            w = np.atleast_1d(np.asarray(weights, dtype=float))
+            if w.shape[0] != t or np.any(w < 0):
                 raise ValueError("weights must be nonnegative, one per sample")
             if abs(w.sum() - 1.0) > 1e-10:
                 raise ValueError("weights must sum to one")
-        object.__setattr__(self, "payoff_samples", y)
-        object.__setattr__(self, "price_samples", q)
-        object.__setattr__(self, "long_bond_return", r)
+        object.__setattr__(self, "_payoff_table", y)
+        object.__setattr__(self, "_price_table", q)
+        object.__setattr__(self, "_r_table", r)
+        object.__setattr__(self, "_index", index)  # (rows_i, rows_j); None: identity
         object.__setattr__(self, "weights", w)
+
+    # the row fields are read through these properties, so the generated
+    # repr and dataclasses.replace see dense rows: replace gives a plain copy
+    @property
+    def payoff_samples(self) -> NDArray[np.float64]:
+        if self._index is None:
+            return self._payoff_table
+        return np.take(self._payoff_table, self._index[1], axis=0)
+
+    @property
+    def price_samples(self) -> NDArray[np.float64]:
+        if self._index is None:
+            return self._price_table
+        return np.take(self._price_table, self._index[0], axis=0)
+
+    @property
+    def long_bond_return(self) -> NDArray[np.float64]:
+        if self._index is None:
+            return self._r_table
+        return self._r_table[self._index]
+
+    @property
+    def _labels(self) -> Optional[NDArray[np.intp]]:
+        """Each row's transition label i * n + j; None for plain rows."""
+        if self._index is None:
+            return None
+        rows_i, rows_j = self._index
+        labels = rows_i * self._payoff_table.shape[0]
+        labels += rows_j
+        return labels
 
     @property
     def n_assets(self) -> int:
-        return self.payoff_samples.shape[1]
+        return self._payoff_table.shape[1]
 
 
 @dataclass(frozen=True)
@@ -265,9 +311,8 @@ def kazemi_test(problem: BoundProblem) -> NDArray[np.float64]:
     martingale component, in which case 1/R_inf is itself the one-period
     discount factor.
     """
-    w = problem.weights
-    y = problem.payoff_samples / problem.long_bond_return[:, None]
-    return w @ (y - problem.price_samples)
+    y, w, _, prices, price_w = _grouped_rows(problem, problem.weights)
+    return w @ y - price_w @ prices
 
 
 def _row_key(y: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -291,7 +336,7 @@ def _distinct_rows(
     """
     t = y.shape[0]
     key = _row_key(y)
-    order = np.argsort(key)
+    order = np.argsort(key, kind="stable")
     tie = key[order[1:]] == key[order[:-1]]
     if not tie.any():
         return y, w, None
@@ -312,43 +357,85 @@ def _distinct_rows(
 
 def _label_rows(
     labels: NDArray[np.intp],
-    payoff: NDArray[np.float64],
-    r: NDArray[np.float64],
+    counts: NDArray[np.intp],
+    w_sorted: NDArray[np.float64],
+    rows_of: Callable[[NDArray[np.intp]], NDArray[np.float64]],
     w: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], Optional[NDArray[np.intp]]]:
-    """Distinct rows of Y / R_inf with summed weights, grouped by transition label.
+    """``_distinct_rows`` of rows that are functions of their labels.
 
-    Rows that share a label are equal, so the first row of each label stands
-    for it and no row is compared: ``np.bincount`` counts the labels and a
-    stable sort on them (a radix sort for labels below 2^16) brings each
-    label's weights together, which are summed pairwise as in
-    ``_distinct_rows``.  Only the representatives are divided by R_inf, and
+    ``rows_of(labels)`` gives the rows of the given labels, ``counts`` the
+    number of rows of each label and ``w_sorted`` the weights ``w`` sorted
+    stably by label.  Rows that share a label are equal, so one row stands
+    for each label and no row is compared: each label's weights are summed
+    by ``np.add.reduceat`` in their row order, the pairwise sums that
+    ``_distinct_rows`` makes.  The labels' rows are put in ``_row_key``
+    order, as ``_distinct_rows`` gives rows with distinct keys, and
     ``_distinct_rows`` then merges those that are equal across labels (all
-    rows i -> j of a constant discount factor).  They come in ``_row_key``
-    order, as ``_distinct_rows`` gives rows with distinct keys, so where the
-    labels' rows differ a problem that loses its labels (a CSV round trip,
-    ``dataclasses.replace``) keeps its bound to the last bit; where they
-    merge, the summed weights may differ in the last bits.  When every label
-    appears once, the labels say nothing and the rows go to
+    rows i -> j of a constant discount factor).  So where the labels' rows
+    differ, the rows without their labels (a CSV round trip,
+    ``dataclasses.replace``) give the same rows and weights to the last bit;
+    where they merge, the summed weights may differ in the last bits.  When
+    every label appears once, the labels say nothing and the rows go to
     ``_distinct_rows`` as they are.
     """
-    counts = np.bincount(labels)
     present = np.flatnonzero(counts)
     if present.size == labels.size:
-        return _distinct_rows(payoff / r[:, None], w)
-    small = labels.astype(np.uint16) if counts.size <= 1 << 16 else labels
-    order = np.argsort(small, kind="stable")
+        return _distinct_rows(rows_of(labels), w)
     starts = np.concatenate([[0], np.cumsum(counts[present])[:-1]])
-    first = order[starts]
-    reps = payoff[first] / r[first, None]
+    reps = rows_of(present)
     by_key = np.argsort(_row_key(reps))
     index = np.zeros(counts.size, dtype=np.intp)
     index[present[by_key]] = np.arange(present.size)
-    sums = np.add.reduceat(w[order], starts)
+    sums = np.add.reduceat(w_sorted, starts)
     reps, sums, merged = _distinct_rows(reps[by_key], sums[by_key])
     if merged is not None:
         index = merged[index]
     return reps, sums, index[labels]
+
+
+def _grouped_rows(problem: BoundProblem, w: NDArray[np.float64], keep=None):
+    """Distinct rows of Y / R_inf and of Q, each with its weights summed.
+
+    Returns the rows of Y / R_inf, their weights, each sample's row (None
+    when every sample is its own row), then the price rows and their weights,
+    over the samples in the boolean mask ``keep`` (all if None) with weights
+    ``w``.  E[Q] is the price rows' weights times the rows.  Plain rows are
+    grouped by comparing them (``_distinct_rows``).  A problem stored by
+    transition groups them by label instead (``_label_rows``), with no T x m
+    array formed: its rows i -> j by i * n + j, read from the tables as
+    ``payoff_table[j] / r_table[i, j]``, and its price rows by i.  One stable
+    sort by i * n + j serves both, as it sorts by i first; within a state the
+    weights are then summed in label order, which is row order for a
+    population problem and immaterial for the uniform weights of a sampled
+    one, so its plain copy gets the same sums.
+    """
+    if problem._index is None:
+        payoff, r = problem.payoff_samples, problem.long_bond_return
+        price = problem.price_samples
+        if keep is not None:
+            payoff, r, price = payoff[keep], r[keep], price[keep]
+        return (*_distinct_rows(payoff / r[:, None], w), *_distinct_rows(price, w)[:2])
+    labels, rows_i = problem._labels, problem._index[0]
+    if keep is not None:
+        labels, rows_i = labels[keep], rows_i[keep]
+    y_table, q_table, r_table = problem._payoff_table, problem._price_table, problem._r_table
+    n_q, n = q_table.shape[0], y_table.shape[0]
+    counts = np.bincount(labels, minlength=n_q * n)
+    # numpy sorts 8- and 16-bit keys stably by radix sort
+    order = np.argsort(labels.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
+    w_sorted = w[order]
+
+    def y_rows(labels):
+        i, j = np.divmod(labels, n)
+        return np.take(y_table, j, axis=0) / r_table[i, j][:, None]
+
+    def q_rows(states):
+        return np.take(q_table, states, axis=0)
+
+    state_counts = counts.reshape(n_q, n).sum(axis=1)
+    prices, price_w, _ = _label_rows(rows_i, state_counts, w_sorted, q_rows, w)
+    return (*_label_rows(labels, counts, w_sorted, y_rows, w), prices, price_w)
 
 
 def _phi_prime(theta: float, r):
@@ -415,7 +502,12 @@ def _dual_newton(
     grad_tol: float,
     max_iter: int,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], float, bool, int]:
-    """Damped Newton on the dual: multipliers, J, dual value, converged, steps."""
+    """Damped Newton on the dual: multipliers, J, dual value, converged, steps.
+
+    Once max|grad| <= ``grad_tol``, one confirming full Newton step is taken
+    where the residuals are not yet round-off, and kept (and counted) only if
+    it lowers max|grad|.
+    """
     u = np.zeros(a.shape[1])
     u[0] = _phi_prime(theta, 1.0)
 
@@ -434,9 +526,7 @@ def _dual_newton(
     direction = None
     iterations = 0
     for _ in range(max_iter):
-        if np.max(np.abs(grad)) <= grad_tol:
-            converged = True
-            break
+        converged = bool(np.max(np.abs(grad)) <= grad_tol)
         h = -(a.T * (w * curv)) @ a
         try:
             direction = np.linalg.solve(h, -grad)
@@ -452,6 +542,23 @@ def _dual_newton(
                 direction = grad.copy()
             if grad @ direction <= 0:
                 direction = grad.copy()
+        if converged:
+            # the absolute test can pass a step short of round-off: if any
+            # residual is above _CONFIRM_ULPS ulps of the magnitudes summed
+            # into it, one more full step confirms the point, kept only if it
+            # lowers max|grad|.  Below that the residuals are round-off, and
+            # whether a step lowers them is a coin flip.
+            sums = np.abs(target) + np.abs(a.T) @ (w * np.abs(j))
+            if np.any(np.abs(grad) > _CONFIRM_ULPS * np.finfo(float).eps * sums):
+                try:
+                    parts = dual_parts(u + direction)
+                except FloatingPointError:
+                    break
+                if np.max(np.abs(parts[1])) < np.max(np.abs(grad)):
+                    u = u + direction
+                    g_val, grad, j, curv, g_scale = parts
+                    iterations += 1
+            break
         slope = float(grad @ direction)
         g_floor = _ROUND_ULPS * np.finfo(float).eps * g_scale
         step = 1.0
@@ -525,13 +632,17 @@ def unconditional_bound(
     it), where comparing dual values only compares round-off; such a step is
     judged by the gradient instead and accepted if it lowers max |gradient|.
     ConvergenceError is still raised when the gradient stops falling above
-    ``grad_tol``.
+    ``grad_tol``.  Once max |gradient| <= ``grad_tol``, one confirming step
+    is taken where the residuals are still above round-off; it counts in
+    ``iterations`` when kept.
 
     The dual is a weighted sum over sample rows, so it is solved on the
-    distinct rows of [1, Y / R_inf] with their weights summed; ``j`` is then
+    distinct rows of [1, Y / R_inf] with their weights summed, and E[Q] is
+    the distinct price rows times their summed weights; ``j`` is then
     expanded back to one entry per sample of positive weight.  Rows of a
-    problem made by ``generate_problem_from_chain`` are grouped by their
-    transition label, other problems' rows by comparing them.  When there are
+    problem made by ``generate_problem_from_chain`` are read from its
+    per-state tables and grouped by their transition label, other problems'
+    rows by comparing them (see ``_grouped_rows``).  When there are
     no more distinct rows than constraints and the rows are independent, the
     constraints pin J (the complete ``arrow_pairs`` menu, a state's full
     Arrow menu in ``conditional_bound``): J is then solved from them
@@ -540,16 +651,11 @@ def unconditional_bound(
     """
     keep = problem.weights > 0
     w = problem.weights[keep]
-    payoff, r = problem.payoff_samples, problem.long_bond_return
-    labels = problem._labels
-    if w.size < keep.size:  # a boolean row mask copies slowly; skip it if all kept
-        payoff, r = payoff[keep], r[keep]
-        labels = None if labels is None else labels[keep]
-    q_bar = problem.weights @ problem.price_samples
-    if labels is None:
-        y, w, group = _distinct_rows(payoff / r[:, None], w)
-    else:
-        y, w, group = _label_rows(labels, payoff, r, w)
+    # a boolean row mask copies slowly; skip it if all rows are kept
+    y, w, group, prices, price_w = _grouped_rows(
+        problem, w, keep if w.size < keep.size else None
+    )
+    q_bar = price_w @ prices
     t = y.shape[0]
     a = np.hstack([np.ones((t, 1)), y])  # z = a @ u
     target = np.concatenate([[1.0], q_bar])
@@ -618,8 +724,15 @@ def generate_problem_from_chain(
     pins the martingale increment completely).  Population mode enumerates
     every positive-probability transition weighted by the stationary law;
     sampled mode simulates a path of length ``horizon_t``.  Long-bond returns
-    are read from ``recovered``.  Each row carries its transition label
-    i * n + j (see ``BoundProblem``).
+    are read from ``recovered``.
+
+    Every row is a function of its transition i -> j, so the problem stores
+    per-state tables, not rows: the payoffs ``psi.T`` (n x m), the prices
+    ``(psi @ Q.T).T`` (n x m), the n x n table of R_inf, and the path's
+    ``rows_i`` and ``rows_j`` (see ``BoundProblem``).  No T x m array is
+    built here; reading ``payoff_samples`` or ``price_samples`` gathers one.
+    The "arrow_pairs" menu is stored as dense rows: its payoff block is the
+    identity over the live transitions.
     """
     p = economy.transition.entries
     q = economy.prices.entries
@@ -662,20 +775,20 @@ def generate_problem_from_chain(
         # one claim per live transition, contingent on both endpoints: the
         # rows are the same live transitions in the same order, so the payoff
         # block is the identity and a row's prices are its state's claims
-        y = np.eye(rows_i.size)
-        prices_rows = (rows_i[:, None] == rows_i[None, :]) * q[rows_i, rows_j]
-    else:
-        # np.take gathers rows about 3x faster than fancy indexing here
-        y = np.take(psi.T, rows_j, axis=0)
-        prices_rows = np.take(prices.T, rows_i, axis=0)
-    problem = BoundProblem(
-        payoff_samples=y,
-        price_samples=prices_rows,
-        long_bond_return=recovered.r_inf[rows_i, rows_j],
-        weights=weights,
+        return BoundProblem(
+            payoff_samples=np.eye(rows_i.size),
+            price_samples=(rows_i[:, None] == rows_i[None, :]) * q[rows_i, rows_j],
+            long_bond_return=recovered.r_inf[rows_i, rows_j],
+            weights=weights,
+        )
+    return BoundProblem._by_transition(
+        np.ascontiguousarray(psi.T),
+        np.ascontiguousarray(prices.T),
+        recovered.r_inf,
+        rows_i,
+        rows_j,
+        weights,
     )
-    object.__setattr__(problem, "_labels", rows_i * n + rows_j)
-    return problem
 
 
 def problem_to_csv(problem: BoundProblem, path) -> None:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -529,15 +530,22 @@ class TestTransitionLabels:
         n=st.integers(2, 6),
         horizon=st.integers(20, 3_000),
         theta=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        extra=st.sampled_from([None, -1, 1, 2]),
+        mode=st.sampled_from(["sampled", "population"]),
     )
-    def test_label_groups_match_row_comparison(self, seed, n, horizon, theta):
+    def test_label_groups_match_row_comparison(self, seed, n, horizon, theta, extra, mode):
+        # the Arrow menu or a random m x n menu with m = n + extra != n
         rng = np.random.default_rng(seed)
         eco = random_recursive_economy(rng, n)
+        menu = "arrow" if extra is None else rng.uniform(0.5, 1.5, size=(n + extra, n))
         labelled = bd.generate_problem_from_chain(
-            eco, mk.recover(eco), "arrow", horizon_t=horizon, mode="sampled", seed=seed
+            eco, mk.recover(eco), menu, horizon_t=horizon, mode=mode, seed=seed
         )
         plain = dataclasses.replace(labelled)
         assert labelled._labels is not None and plain._labels is None
+        np.testing.assert_allclose(
+            bd.kazemi_test(labelled), bd.kazemi_test(plain), rtol=0, atol=1e-12
+        )
 
         def outcome(problem):
             # a short path can miss prices that J > 0 could meet
@@ -594,6 +602,37 @@ class TestTransitionLabels:
             samp.payoff_samples, samp.price_samples, samp.long_bond_return
         )._labels is None
         assert "_labels" not in repr(samp)
+
+    def test_rows_gathered_from_tables(self, recursive_economy):
+        rec = mk.recover(recursive_economy)
+        prob = bd.generate_problem_from_chain(
+            recursive_economy, rec, np.ones((3, 2)), horizon_t=50, mode="sampled", seed=2
+        )
+        # the tables are per state; the row arrays are gathered on each access
+        assert prob._payoff_table.shape == prob._price_table.shape == (2, 3)
+        assert prob.payoff_samples.shape == prob.price_samples.shape == (50, 3)
+        assert prob.payoff_samples is not prob.payoff_samples
+        plain = dataclasses.replace(prob)
+        assert plain.payoff_samples is plain.payoff_samples
+        np.testing.assert_array_equal(plain.long_bond_return, prob.long_bond_return)
+
+    def test_sampled_bound_forms_no_sample_arrays(self):
+        # dense rows would take 2 T m 8 B = 32 MB for payoffs and prices at
+        # n = m = 10, T = 200,000; tracemalloc sees numpy's buffers
+        eco = random_recursive_economy(np.random.default_rng(10), 10)
+        rec = mk.recover(eco)
+        tracemalloc.start()
+        try:
+            prob = bd.generate_problem_from_chain(
+                eco, rec, "arrow", horizon_t=200_000, mode="sampled", seed=1
+            )
+            res = bd.unconditional_bound(prob, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.n_rows == 100
+        # measured 11.8 MB, against 42 MB with the rows stored
+        assert peak < 16e6
 
 
 class TestPinnedMenus:
@@ -690,6 +729,28 @@ class TestPinnedMenus:
         assert np.max(np.abs(res.constraint_residuals)) <= 1e-10
         assert res.lambda_bar == pytest.approx(
             bd.unconditional_bound(one, theta).lambda_bar, abs=1e-9
+        )
+
+    def test_collinear_rows_newton_reaches_round_off(self):
+        # test_rank_deficient_rows_reach_newton's example at seed 2, m = 2,
+        # t = 3, theta = 1: max|grad| <= 1e-10 held after one step with lambda
+        # 1.4e-6 relative from the one-column value; the confirming step
+        # lands at round-off
+        t, m = 3, 2
+        rng = np.random.default_rng(2)
+        s = rng.permutation(np.arange(1.0, t + 1.0))
+        v = rng.uniform(0.5, 2.0, size=m)
+        w = rng.dirichlet(np.ones(t))
+        r = rng.uniform(0.9, 1.1, size=t)
+        j_feasible = rng.uniform(0.5, 1.5, size=t)
+        j_feasible /= w @ j_feasible
+        y = s[:, None] * v
+        q = (w * j_feasible / r) @ y
+        res = bd.unconditional_bound(bd.BoundProblem(y, np.tile(q, (t, 1)), r, w), 1.0)
+        one = bd.BoundProblem(y[:, :1], np.tile(q[:1], (t, 1)), r, w)
+        assert res.iterations == 2
+        assert res.lambda_bar == pytest.approx(
+            bd.unconditional_bound(one, 1.0).lambda_bar, rel=1e-10
         )
 
     def test_pinned_point_meets_grad_tol_unscaled(self):
