@@ -173,7 +173,8 @@ class BoundProblem:
         if weights is None:
             w = np.full(t, 1.0 / t)
         else:
-            w = np.atleast_1d(np.asarray(weights, dtype=float))
+            # contiguous, so weighted sums do not depend on the caller's layout
+            w = np.ascontiguousarray(np.atleast_1d(np.asarray(weights, dtype=float)))
             if w.shape[0] != t or np.any(w < 0):
                 raise ValueError("weights must be nonnegative, one per sample")
             if abs(w.sum() - 1.0) > 1e-10:

@@ -10,9 +10,10 @@ Subcommands:
   demo-approx  near-multiplicity of the eigenfunction family under highly
                persistent (almost unit-root) cumulative shocks
 
-Exit codes: 0 success, 1 usage/input error, 2 mathematical-validity error.
-Outputs are plot-ready CSV/JSON files; reruns with the same config and seed
-are byte-identical.
+Each subcommand accepts only the flags it reads (see ``_build_parser``);
+any other flag is a usage error.  Exit codes: 0 success, 1 usage/input
+error, 2 mathematical-validity error.  Outputs are plot-ready CSV/JSON files;
+reruns with the same configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def run_forward(args) -> int:
     prices = (
         source.prices if isinstance(source, markov.MarkovPricingEconomy) else source
     )
-    horizons = _parse_horizons(args.horizons or "1:10:1")
+    horizons = _parse_horizons(args.horizons)
     rn, bond = markov.risk_neutral(prices)
     recovered = markov.recover(source)
     forward = markov.forward_measures(prices, horizons)
@@ -212,7 +213,7 @@ def run_yields(args) -> int:
         cash_flow = np.asarray(payload["payoff"], dtype=float)
     else:
         cash_flow = np.ones(source.n)
-    horizons = _parse_horizons(args.horizons or "1:200:10")
+    horizons = _parse_horizons(args.horizons)
     under_p = markov.yield_curve(source, cash_flow, horizons, measure="P")
     under_hat = markov.yield_curve(source, cash_flow, horizons, measure="P_hat")
     out = Path(args.out)
@@ -274,7 +275,7 @@ def run_lrr(args) -> int:
             _density_columns(result),
         )
 
-    horizons = _parse_horizons(args.horizons or "12:1200:12")
+    horizons = _parse_horizons(args.horizons)
     for flow in ("consumption", "bond"):
         yc = lrr_mod.yield_curves(
             params, horizons, cash_flow=flow, laws=(laws["p"], laws["p_hat"])
@@ -336,7 +337,7 @@ def run_bounds(args) -> int:
     menu = overrides.pop("payoff", "arrow")
     if overrides:
         raise ValueError(f"unknown overrides for bounds: {sorted(overrides)}")
-    thetas = [float(tok) for tok in (args.theta or "-1,0,1").split(",")]
+    thetas = [float(tok) for tok in args.theta.split(",")]
     recovered = markov.recover(source)
     problem = bounds_mod.generate_problem_from_chain(
         source, recovered, payoff_spec=menu, mode="population"
@@ -412,6 +413,8 @@ def _approx_family_report(rho_list, zeta_grid, n_y, sigma_y, g, delta, zeta_true
     drift = np.array([g, -g * pi_x[0] / pi_x[1]])  # zero stationary mean
     m_x = np.asarray(m_x, dtype=float)
 
+    ratio = np.repeat(np.repeat(m_x[None, :] / m_x[:, None], n_y, axis=0), n_y, axis=1)
+
     report = []
     for rho in rho_list:
         persistence = 1.0 - rho
@@ -420,53 +423,31 @@ def _approx_family_report(rho_list, zeta_grid, n_y, sigma_y, g, delta, zeta_true
         )
         half = min(5.0 * sd_y, 100.0)
         grid = np.linspace(-half, half, n_y)
-        n_states = 2 * n_y
 
-        q_tilde = np.zeros((n_states, n_states))
-        for i in range(2):
-            means = persistence * grid + drift[i]
-            w = _tauchen_rows(means, sigma_y, grid)  # (n_y, n_y)
-            dy = grid[None, :] - grid[:, None]
-            for i2 in range(2):
-                block = (
-                    p_x[i, i2]
-                    * w
-                    * np.exp(-delta + zeta_true * dy)
-                    * (m_x[i2] / m_x[i])
-                )
-                q_tilde[
-                    i * n_y : (i + 1) * n_y, i2 * n_y : (i2 + 1) * n_y
-                ] = block
+        # block (i, i2) of the product chain is p_x[i, i2] times the grid
+        # transition w[i] of growth state i
+        w = np.stack([_tauchen_rows(persistence * grid + d, sigma_y, grid) for d in drift])
+        p_tilde = (p_x[:, None, :, None] * w[:, :, None, :]).reshape(2 * n_y, 2 * n_y)
+        dy = grid[None, :] - grid[:, None]
+        q_tilde = p_tilde * np.tile(np.exp(-delta + zeta_true * dy), (2, 2)) * ratio
 
         eigvals = np.linalg.eigvals(q_tilde)
         mags = np.sort(np.abs(eigvals))[::-1]
         gap = float(1.0 - mags[1] / mags[0])
 
         # stationary weights over grid cells per growth state
-        p_tilde = np.zeros_like(q_tilde)
-        for i in range(2):
-            means = persistence * grid + drift[i]
-            w = _tauchen_rows(means, sigma_y, grid)
-            for i2 in range(2):
-                p_tilde[
-                    i * n_y : (i + 1) * n_y, i2 * n_y : (i2 + 1) * n_y
-                ] = p_x[i, i2] * w
-        pi = markov.stationary_distribution(markov.StochasticMatrix(p_tilde))
+        pi = markov.stationary_distribution(markov.StochasticMatrix(p_tilde)).reshape(2, n_y)
+        pi = pi / pi.sum(axis=1, keepdims=True)
 
         y_full = np.tile(grid, 2)
         rows = []
         for zeta in zeta_grid:
             weights = np.exp(zeta * (y_full[None, :] - y_full[:, None]))
-            collapsed = np.zeros((2, 2))
-            for i in range(2):
-                sl_i = slice(i * n_y, (i + 1) * n_y)
-                w_i = pi[sl_i]
-                w_i = w_i / w_i.sum()
-                for i2 in range(2):
-                    sl_j = slice(i2 * n_y, (i2 + 1) * n_y)
-                    collapsed[i, i2] = w_i @ (
-                        (q_tilde[sl_i, sl_j] * weights[sl_i, sl_j]).sum(axis=1)
-                    )
+            # row sums of block (i, i2), averaged over i's stationary cells
+            sums = (q_tilde * weights).reshape(2, n_y, 2, n_y).sum(axis=3)
+            # (i, i2, cell), each row contiguous so that its dot is a plain vector dot
+            sums = np.ascontiguousarray(sums.transpose(0, 2, 1))
+            collapsed = np.array([[pi[i] @ sums[i, i2] for i2 in range(2)] for i in range(2)])
             lam, vecs = np.linalg.eig(collapsed)
             top = int(np.argmax(lam.real))
             e_x = np.abs(vecs[:, top].real)
@@ -479,16 +460,25 @@ def _approx_family_report(rho_list, zeta_grid, n_y, sigma_y, g, delta, zeta_true
     return report
 
 
+def _count_override(overrides: dict, key: str, default: int, least: int) -> int:
+    value = overrides.pop(key, default)
+    if not (isinstance(value, (int, float)) and value >= least and float(value).is_integer()):
+        raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def run_demo_approx(args) -> int:
     overrides = _parse_overrides(args.override)
     rho_list = overrides.pop("rhos", (1.0, 0.1, 0.01, 1e-4))
     if isinstance(rho_list, float):
         rho_list = (rho_list,)
-    n_zeta = int(overrides.pop("n_zeta", 25))
+    n_zeta = _count_override(overrides, "n_zeta", 25, 1)
     zeta_lo = float(overrides.pop("zeta_min", -1.0))
     zeta_hi = float(overrides.pop("zeta_max", 2.0))
-    n_y = int(overrides.pop("n_y", 41))
-    sigma_y = float(overrides.pop("sigma_y", 0.25))
+    n_y = _count_override(overrides, "n_y", 41, 2)
+    sigma_y = overrides.pop("sigma_y", 0.25)
+    if not (isinstance(sigma_y, float) and 0.0 < sigma_y < np.inf):
+        raise ValueError(f"sigma_y must be finite and positive, got {sigma_y!r}")
     if overrides:
         raise ValueError(f"unknown overrides for demo-approx: {sorted(overrides)}")
     zeta_grid = np.linspace(zeta_lo, zeta_hi, n_zeta)
@@ -533,28 +523,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Recover probability measures from Arrow prices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "recover": (run_recover, True),
-        "forward": (run_forward, True),
-        "yields": (run_yields, True),
-        "lrr": (run_lrr, False),
-        "bounds": (run_bounds, True),
-        "demo-approx": (run_demo_approx, False),
+    flags = {
+        "input": dict(required=True, help="input JSON file"),
+        "out": dict(required=True, help="output directory"),
+        "override": dict(
+            action="append", default=[], metavar="K=V", help="parameter patch, repeatable"
+        ),
+        "horizons": dict(help="a:b:step horizon range, or one horizon"),
+        "theta": dict(default="-1,0,1", help="comma-separated theta values"),
+        "seed": dict(type=int, default=0, help="accepted and unused: nothing is random"),
     }
-    for name, (func, needs_input) in specs.items():
+    # subcommand -> handler and the flags it reads, with its own settings
+    table = {
+        "recover": (run_recover, {"input": {}, "out": {}}),
+        "forward": (run_forward, {"input": {}, "out": {}, "horizons": {"default": "1:10:1"}}),
+        "yields": (run_yields, {"input": {}, "out": {}, "horizons": {"default": "1:200:10"}}),
+        "lrr": (run_lrr, {"input": {"required": False}, "out": {}, "override": {},
+                          "horizons": {"default": "12:1200:12"}, "seed": {}}),
+        "bounds": (run_bounds, {"input": {}, "out": {}, "override": {}, "theta": {}}),
+        "demo-approx": (run_demo_approx, {"out": {}, "override": {}}),
+    }
+    for name, (func, own) in table.items():
         p = sub.add_parser(name)
-        p.add_argument("--input", required=needs_input, help="input JSON file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--override",
-            action="append",
-            default=[],
-            metavar="K=V",
-            help="parameter patch, repeatable",
-        )
-        p.add_argument("--theta", default=None, help="comma-separated theta values")
-        p.add_argument("--horizons", default=None, help="a:b:step horizon range")
+        for flag, settings in own.items():
+            p.add_argument(f"--{flag}", **{**flags[flag], **settings})
         p.set_defaults(func=func)
     return parser
 

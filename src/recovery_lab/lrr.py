@@ -525,19 +525,12 @@ def recovered_sdf_functional(
 class AffineExpectationCoeffs:
     """Integrated exponents: E[M_t | x] = exp(theta0 + theta1 x1 + theta2 x2).
 
-    Holds the exponents on a dense grid, and evaluates them at any horizon
-    up to ``t_max`` by one propagator step from the nearest node below.
+    Evaluates the exponents at any horizon up to ``t_max`` by one propagator
+    step from the nearest node below.
     """
 
-    t_grid: NDArray[np.float64]
-    theta0: NDArray[np.float64]
-    theta1: NDArray[np.float64]
-    theta2: NDArray[np.float64]
+    t_max: float
     _at: Callable[[NDArray[np.float64]], NDArray[np.float64]]
-
-    @property
-    def t_max(self) -> float:
-        return float(self.t_grid[-1])
 
     def evaluate(self, t: float) -> tuple[float, float, float]:
         if t < 0 or t > self.t_max * (1 + 1e-12):
@@ -728,7 +721,6 @@ def solve_affine_ode(
     functional: AffineFunctional,
     dynamics: StateDynamics,
     t_max: float,
-    n_grid: int = 400,
 ) -> AffineExpectationCoeffs:
     """Integrate the exponent ODE system for E[M_t | x] up to t_max.
 
@@ -749,12 +741,8 @@ def solve_affine_ode(
     (``_exponent_path``); a Riccati explosion before t_max raises
     BlowUpError with the time at which the linearisation reaches zero.
     """
-    at = _exponent_path(functional, dynamics, float(t_max))
-    grid = np.linspace(0.0, float(t_max), n_grid)
-    vals = at(grid)
-    return AffineExpectationCoeffs(
-        t_grid=grid, theta0=vals[0], theta1=vals[1], theta2=vals[2], _at=at
-    )
+    t_max = float(t_max)
+    return AffineExpectationCoeffs(t_max=t_max, _at=_exponent_path(functional, dynamics, t_max))
 
 
 def affine_expectation(

@@ -495,6 +495,22 @@ class TestProblemGeneration:
         a = bd.unconditional_bound(prob, 0.0).lambda_bar
         b = bd.unconditional_bound(back, 0.0).lambda_bar
         assert a == b
+        assert back.weights.flags.c_contiguous  # not a column view of the CSV table
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_results_do_not_depend_on_the_weights_layout(self, seed):
+        # kazemi_test handed a strided weights view to ``w @ y``, whose last
+        # bits then differed from those over a contiguous copy
+        eco = random_recursive_economy(np.random.default_rng(seed), 3)
+        prob = bd.generate_problem_from_chain(eco, mk.recover(eco), "arrow")
+        y, q, r = prob.payoff_samples, prob.price_samples, prob.long_bond_return
+        table = np.column_stack([prob.weights, y])
+        view = bd.BoundProblem(y, q, r, weights=table[:, 0])
+        copy = bd.BoundProblem(y, q, r, weights=table[:, 0].copy())
+        assert np.array_equal(bd.kazemi_test(view), bd.kazemi_test(copy))
+        for theta in (-1.0, 0.0, 1.0):
+            a = bd.unconditional_bound(view, theta).lambda_bar
+            assert a == bd.unconditional_bound(copy, theta).lambda_bar
 
     def test_csv_header_validated(self, tmp_path):
         bad = tmp_path / "bad.csv"

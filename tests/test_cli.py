@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +121,59 @@ def test_write_csv_cells_match_python_format(tmp_path):
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert lines[0] == "x,k"
     assert lines[1:] == [f"{float(x):.12g},{float(k):.12g}" for x, k in zip(floats, ints)]
+
+
+# subcommand -> the flags it reads; any other flag is a usage error
+FLAGS = {
+    "recover": {"--input", "--out"},
+    "forward": {"--input", "--out", "--horizons"},
+    "yields": {"--input", "--out", "--horizons"},
+    "lrr": {"--input", "--out", "--override", "--horizons", "--seed"},
+    "bounds": {"--input", "--out", "--override", "--theta"},
+    "demo-approx": {"--out", "--override"},
+}
+FLAG_VALUES = {
+    "--input": "economy.json",
+    "--out": "out",
+    "--override": "k=1",
+    "--horizons": "1:2:1",
+    "--seed": "3",
+    "--theta": "5",
+}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_exactly_the_flags_read(self, command, capsys):
+        assert cli.main([command, "--help"]) == 0
+        listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+        assert listed == FLAGS[command] | {"--help"}
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in sorted(FLAGS) for f in sorted(FLAG_VALUES) if f not in FLAGS[c]],
+    )
+    def test_flag_not_read_is_a_usage_error(self, command, flag, tmp_path, capsys):
+        argv = [command]
+        for own in sorted(FLAGS[command] & {"--input", "--out"}):
+            argv += [own, str(tmp_path / FLAG_VALUES[own])]
+        assert cli.main([*argv, flag, FLAG_VALUES[flag]]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["recover", "forward", "yields", "bounds"])
+    def test_benchmark_argv_with_input_exits_zero(self, command, tmp_path, power_economy_file):
+        out = tmp_path / command
+        assert cli.main([command, "--input", str(power_economy_file), "--out", str(out)]) == 0
+        assert any(out.iterdir())
+
+    def test_benchmark_argv_of_lrr_and_demo_exit_zero(self, tmp_path):
+        lrr_argv = ["lrr", "--out", str(tmp_path / "lrr"), "--seed", "1",
+                    "--override", "n_paths=5000"]
+        assert cli.main(lrr_argv) == 0
+        assert cli.main(["demo-approx", "--out", str(tmp_path / "demo")]) == 0
+        report = json.loads((tmp_path / "demo" / "approx_report.json").read_text())
+        # the gap at rho = 1e-4 is a few ulps, and it must stay positive
+        assert all(gap > 0.0 for gap in report["spectral_gaps"].values())
 
 
 class TestRecover:
@@ -415,6 +469,29 @@ class TestDemoApprox:
         # narrower spectral gap
         assert report["near_solutions"]["0.01"] >= report["near_solutions"]["1.0"]
         assert report["spectral_gaps"]["0.01"] < report["spectral_gaps"]["1.0"]
+
+    def test_one_grid_transition_per_growth_state_and_rho(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, cli, "_tauchen_rows")
+        assert cli.main(
+            ["demo-approx", "--out", str(tmp_path), "--override", "rhos=1.0,0.01",
+             "--override", "n_zeta=3", "--override", "n_y=11"]
+        ) == 0
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize(
+        "override",
+        ["n_y=0", "n_y=1", "n_y=2.5", "n_y=inf", "n_zeta=0", "n_zeta=1.5",
+         "sigma_y=-1", "sigma_y=0", "sigma_y=inf", "sigma_y=nan", "sigma_y=a"],
+    )
+    def test_invalid_grid_override_is_an_input_error(self, override, tmp_path, capsys):
+        # n_y = 0 used to raise IndexError, n_y = 1 and sigma_y = -1 to exit 0
+        # with meaningless residuals, n_y = 2.5 to be truncated to 2, and
+        # sigma_y = 0 to exit 2 as if the model were at fault
+        argv = ["demo-approx", "--out", str(tmp_path), "--override", "rhos=1.0",
+                "--override", "n_zeta=3", "--override", override]
+        assert cli.main(argv) == 1
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "approx_report.json").exists()
 
     def test_residual_profile_shapes(self, tmp_path):
         out = tmp_path / "r"

@@ -361,13 +361,13 @@ class TestExponentPropagator:
             scale = np.max(np.abs(new), axis=0)
             assert np.all(np.abs(new - old) <= 1e-12 * np.maximum(np.abs(new), scale))
 
-    def test_evaluate_between_nodes_matches_the_grid(self, params, sdf):
-        # any horizon is one propagator step from the node below it
-        ode = lrr.solve_affine_ode(sdf, params.dynamics(), 300.0, n_grid=7)
-        for t, *theta in zip(ode.t_grid, ode.theta0, ode.theta1, ode.theta2):
-            assert ode.evaluate(t) == pytest.approx(tuple(theta), rel=1e-14, abs=1e-300)
+    def test_evaluate_outside_the_integrated_range_raises(self, params, sdf):
+        ode = lrr.solve_affine_ode(sdf, params.dynamics(), 300.0)
+        assert ode.t_max == 300.0
         with pytest.raises(ValueError, match="outside"):
             ode.evaluate(301.0)
+        with pytest.raises(ValueError, match="outside"):
+            ode.evaluate(-1.0)
 
 
 class TestMeasureTransforms:
