@@ -87,40 +87,52 @@ def phi(theta: float, r) -> Union[float, NDArray[np.float64]]:
     return float(out) if np.isscalar(r) else out
 
 
-def _phi_conj(theta: float, z: NDArray[np.float64], nonnegative: bool):
-    """Conjugate phi*(z), its derivative (the primal J) and second derivative.
+def _expm1_over(s: float, x):
+    """expm1(s x) / s, with its limit x at s = 0."""
+    return x if s == 0.0 else np.expm1(s * x) / s
 
-    For theta > 0 the conjugate over J >= 0 flattens at z <= 0 (J = 0); for
-    theta <= 0 the domain is z < 0 (theta < 0) or all of R (theta = 0) and
-    positivity of J is automatic.  ``nonnegative=False`` drops the J >= 0
-    restriction, which is only meaningful for theta = 1 where phi extends to
-    negative arguments.
+
+def _phi_tilde(theta: float, r: NDArray[np.float64]) -> NDArray[np.float64]:
+    """phi~(r) = phi(r) - phi'(1) (r - 1), which equals phi on E[J] = 1.
+
+    The bounds use phi~: phi~(1) = phi~'(1) = 0 leaves no 1 / theta to
+    cancel.  It is (r (r^theta - 1) / theta - (r - 1)) / (1 + theta) for
+    theta > -1/2, stable at theta = 0, and ((r^(1+theta) - 1) / (1 + theta)
+    - (r - 1)) / theta otherwise, stable at theta = -1.  At theta = 1 it is
+    (r - 1)^2 / 2, which also extends phi to r < 0.
+    """
+    if theta == 1.0:
+        return 0.5 * (r - 1.0) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.log(r)
+        if theta > -0.5:
+            # r = 0 (theta >= 0) contributes r (r^theta - 1) / theta = 0
+            rise = np.where(r > 0, r * _expm1_over(theta, log_r), 0.0)
+            return (rise - (r - 1.0)) / (1.0 + theta)
+        return (_expm1_over(1.0 + theta, log_r) - (r - 1.0)) / theta
+
+
+def _phi_conj(theta: float, z: NDArray[np.float64], nonnegative: bool):
+    """Conjugate phi~*(z), its derivative (the primal J) and second derivative.
+
+    With l = log1p(theta z) / theta (z at theta = 0), J = exp(l) and phi~* =
+    expm1((1 + theta) l) / (1 + theta), one form continuous in theta.  For
+    theta > 0 the conjugate over J >= 0 is flat where theta z <= -1 (J = 0);
+    for theta < 0 leaving its domain theta z > -1 raises FloatingPointError.
+    ``nonnegative=False`` drops J >= 0, only meaningful for theta = 1 where
+    phi extends to negative arguments.
     """
     if not nonnegative:
         if theta != 1.0:
             raise ValueError("negative J only makes sense for theta = 1")
-        val = 0.5 * z**2 + 0.5
-        return val, z.copy(), np.ones_like(z)
-    if theta == 0.0:
-        ez = np.exp(z - 1.0)
-        return ez, ez, ez
-    u = theta * z
-    if theta > 0:
-        up = np.maximum(u, 0.0)
-        j = up ** (1.0 / theta)
-        val = up ** ((1.0 + theta) / theta) / (1.0 + theta) + 1.0 / (
-            theta * (1.0 + theta)
-        )
-        with np.errstate(divide="ignore"):
-            curv = np.where(up > 0, up ** (1.0 / theta - 1.0), 0.0)
-        return val, j, curv
-    # theta < 0: require u = theta z > 0, i.e. z < 0
-    if np.any(u <= 0):
+        return z + 0.5 * z**2, 1.0 + z, np.ones_like(z)
+    tz = theta * z
+    if theta < 0 and np.any(tz <= -1.0):
         raise FloatingPointError("multiplier combination left the dual domain")
-    if theta == -1.0:
-        return -1.0 - np.log(u), 1.0 / u, u**-2.0
-    val = u ** ((1.0 + theta) / theta) / (1.0 + theta) + 1.0 / (theta * (1.0 + theta))
-    return val, u ** (1.0 / theta), u ** (1.0 / theta - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_j = z if theta == 0.0 else np.log1p(np.maximum(tz, -1.0)) / theta
+        curv = np.where(tz > -1.0, np.exp((1.0 - theta) * log_j), 0.0)
+        return _expm1_over(1.0 + theta, log_j), np.exp(log_j), curv
 
 
 @dataclass(frozen=True, init=False)
@@ -300,8 +312,8 @@ def conditional_bound(
         w = p[i, live]
         a = np.hstack([np.ones((live.size, 1)), psi.T[live] / r_inf[i, live, None]])
         target = np.concatenate([[1.0], prices[:, i]])
-        j = _solve_dual(a, w, target, theta, True, _GRAD_TOL, _MAX_NEWTON)[1]
-        out[i] = float(w @ phi(theta, j))
+        j = _solve_dual(a, w, target, theta, True)[1]
+        out[i] = float(w @ _phi_tilde(theta, j))
     return out
 
 
@@ -317,8 +329,11 @@ def kazemi_test(problem: BoundProblem) -> NDArray[np.float64]:
 
 
 def _row_key(y: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Scalar sort key of each row: y @ v with v_k = sqrt(k + 2)."""
-    return y @ np.sqrt(np.arange(2.0, y.shape[1] + 2.0))
+    """Scalar sort key of each row: y @ v with v_k = sqrt(k + 2) / 2^e_k,
+    2^e_k the power of two just above column k's largest magnitude: so the
+    row order, and every sum over rows, is the same in units 2^s apart."""
+    exponent = np.frexp(np.abs(y).max(axis=0, initial=0.0))[1]
+    return y @ np.ldexp(np.sqrt(np.arange(2.0, y.shape[1] + 2.0)), -exponent)
 
 
 def _distinct_rows(
@@ -439,59 +454,40 @@ def _grouped_rows(problem: BoundProblem, w: NDArray[np.float64], keep=None):
     return (*_label_rows(labels, counts, w_sorted, y_rows, w), prices, price_w)
 
 
-def _phi_prime(theta: float, r):
-    """phi_theta'(r) = r^theta / theta, with the limit 1 + log r at theta = 0."""
-    return 1.0 + np.log(r) if theta == 0.0 else r**theta / theta
-
-
 def _pinned(
     a: NDArray[np.float64],
     w: NDArray[np.float64],
     target: NDArray[np.float64],
     theta: float,
     nonnegative: bool,
-    tol: float,
-) -> Optional[tuple[NDArray[np.float64], NDArray[np.float64], float]]:
-    """Multipliers, J and dual value when the constraints alone fix J.
+) -> Optional[tuple[NDArray[np.float64], NDArray[np.float64], float, bool, int]]:
+    """``_dual_newton``'s results, with 0 steps, when the constraints fix J.
 
-    With no more distinct rows than constraints and ``a`` = [1, Y / R_inf] of
-    full row rank, the constraints a' (w J) = target have at most one
-    solution.  Constraints that no row loads on and that ask for 0 (the
-    non-live next states of a sparse chain) are dropped, and each remaining
-    one is divided by its magnitude at J = 1.  One QR factorization of the
-    scaled system tests the rank (no column within a relative
-    ``_PINNED_RTOL`` of the span of those before it) and solves for J.  The
-    multipliers solve a u = phi'(J), the first-order condition J =
-    phi*'(a u), so the dual value equals the primal one up to the constraint
-    residuals.  Returns None unless the rank holds, the constraint residuals,
-    scaled and unscaled, are within ``tol`` and J >= 0 (J > 0 for
-    theta <= 0); Newton then solves the problem and reports what fails.
+    With no more distinct rows than constraints and the scaled ``a`` of full
+    row rank, a' (w J) = target has at most one solution.  One QR
+    factorization tests the rank (no column of a' w within a relative
+    ``_PINNED_RTOL`` of the span of those before it) and solves for J; the
+    multipliers solve a u = phi~'(J), the first-order condition.  Returns
+    None unless the rank holds, max|residual| <= ``_GRAD_TOL`` and J >= 0
+    (J > 0 for theta <= 0); Newton then solves the problem.
     """
     t, k = a.shape
-    if t > k:  # more rows than constraints, live or not
+    if t > k:  # more rows than constraints
         return None
-    live = (a != 0).any(axis=0) | (target != 0)
-    b = a[:, live].T * w  # constraint c as a linear form in J
-    scale = np.abs(b).sum(axis=1)
-    if t > b.shape[0] or not scale.min() > 0:
-        return None
-    b /= scale[:, None]
-    rhs = target[live] / scale
+    b = a.T * w  # constraint c as a linear form in J
     qm, rm = np.linalg.qr(b)
     if (np.abs(np.diagonal(rm)) <= _PINNED_RTOL * np.sqrt((b * b).sum(axis=0))).any():
         return None
-    j = np.linalg.solve(rm, qm.T @ rhs)
-    residual = np.abs(b @ j - rhs)
-    if residual.max() > tol or (residual * scale).max() > tol:
+    j = np.linalg.solve(rm, qm.T @ target)
+    if np.abs(b @ j - target).max() > _GRAD_TOL:
         return None
     if nonnegative and not (j > 0 if theta <= 0 else j >= 0).all():
         return None
-    z = _phi_prime(theta, j)
-    # v solves b' v = w z; u = v / scale
-    u = np.zeros(k)
-    u[live] = qm @ np.linalg.solve(rm.T, w * z) / scale
-    g = float(u @ target - w @ _phi_conj(theta, z, nonnegative)[0])
-    return u, j, g
+    with np.errstate(divide="ignore"):
+        # phi~'(J) = (J^theta - 1) / theta; theta = 1 extends to J < 0
+        z = _expm1_over(theta, np.log(j)) if nonnegative else j - 1.0
+    u = qm @ np.linalg.solve(rm.T, w * z)  # b' u = w z
+    return u, j, float(u @ target - w @ _phi_conj(theta, z, nonnegative)[0]), True, 0
 
 
 def _dual_newton(
@@ -500,17 +496,18 @@ def _dual_newton(
     target: NDArray[np.float64],
     theta: float,
     nonnegative: bool,
-    grad_tol: float,
-    max_iter: int,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], float, bool, int]:
-    """Damped Newton on the dual: multipliers, J, dual value, converged, steps.
+    """Damped Newton on the scaled dual from u = 0 (J = 1): multipliers, J,
+    dual value, converged and steps.
 
-    Once max|grad| <= ``grad_tol``, one confirming full Newton step is taken
-    where the residuals are not yet round-off, and kept (and counted) only if
-    it lowers max|grad|.
+    The gradient is the residual vector: converged means max|grad| <=
+    ``_GRAD_TOL``, then one confirming full step is kept (and counted) if
+    it lowers max|grad|.  Line search keeps ascent and the dual domain; a
+    step whose predicted ascent is below ``_ROUND_ULPS`` ulps of the dual
+    value's summands is judged by max|grad| instead.  ||u|| >
+    ``_UNBOUNDED_NORM`` raises InfeasibleProblemError along the last step.
     """
     u = np.zeros(a.shape[1])
-    u[0] = _phi_prime(theta, 1.0)
 
     def dual_parts(u_vec):
         z = a @ u_vec
@@ -524,10 +521,9 @@ def _dual_newton(
 
     g_val, grad, j, curv, g_scale = dual_parts(u)
     converged = False
-    direction = None
     iterations = 0
-    for _ in range(max_iter):
-        converged = bool(np.max(np.abs(grad)) <= grad_tol)
+    for _ in range(_MAX_NEWTON):
+        converged = bool(np.max(np.abs(grad)) <= _GRAD_TOL)
         h = -(a.T * (w * curv)) @ a
         try:
             direction = np.linalg.solve(h, -grad)
@@ -544,11 +540,11 @@ def _dual_newton(
             if grad @ direction <= 0:
                 direction = grad.copy()
         if converged:
-            # the absolute test can pass a step short of round-off: if any
-            # residual is above _CONFIRM_ULPS ulps of the magnitudes summed
-            # into it, one more full step confirms the point, kept only if it
-            # lowers max|grad|.  Below that the residuals are round-off, and
-            # whether a step lowers them is a coin flip.
+            # the test can pass a step short of round-off: if any residual
+            # is above _CONFIRM_ULPS ulps of the magnitudes summed into it,
+            # one more full step confirms the point, kept only if it lowers
+            # max|grad|.  Below that the residuals are round-off, and whether
+            # a step lowers them is a coin flip.
             sums = np.abs(target) + np.abs(a.T) @ (w * np.abs(j))
             if np.any(np.abs(grad) > _CONFIRM_ULPS * np.finfo(float).eps * sums):
                 try:
@@ -586,9 +582,9 @@ def _dual_newton(
         if np.linalg.norm(u) > _UNBOUNDED_NORM:
             raise InfeasibleProblemError(
                 "dual objective is unbounded: constraint system infeasible",
-                direction=direction / np.linalg.norm(direction),
+                direction=direction,
             )
-    if not converged and np.max(np.abs(grad)) > grad_tol:
+    if not converged and np.max(np.abs(grad)) > _GRAD_TOL:
         raise ConvergenceError(
             f"dual Newton did not reach tolerance (grad {np.max(np.abs(grad)):.2e})"
         )
@@ -601,41 +597,53 @@ def _solve_dual(
     target: NDArray[np.float64],
     theta: float,
     nonnegative: bool,
-    grad_tol: float,
-    max_iter: int,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], float, bool, int]:
-    """Multipliers, J, dual value, converged and Newton steps of one program:
-    J from the constraints when they pin it, by dual Newton otherwise."""
-    pinned = _pinned(a, w, target, theta, nonnegative, grad_tol)
-    if pinned is not None:
-        return (*pinned, True, 0)
-    return _dual_newton(a, w, target, theta, nonnegative, grad_tol, max_iter)
+    """Multipliers, J, dual value, converged and Newton steps of the program
+    a' (w J) = target with kernel phi~ (so u[0] is phi'(1) below phi's).
+
+    One scaling serves both solvers: constraints that no row loads on and
+    that ask for 0 (non-live next states) are dropped, with multiplier 0,
+    and each other column of ``a`` and its target is divided by its
+    magnitude at J = 1, sum_t w_t |a_tc|.  ``_pinned``, then
+    ``_dual_newton``, run on that system, and both call a point converged
+    when every residual is within ``_GRAD_TOL`` of its constraint's
+    magnitude.  Multipliers map back as u_c = u'_c / scale_c, and so does
+    an InfeasibleProblemError's direction; a zero payoff with a nonzero
+    price is infeasible along its own multiplier.
+    """
+    k = a.shape[1]
+    live = np.flatnonzero((a != 0).any(axis=0) | (target != 0))
+    scale = w @ np.abs(a[:, live])
+    direction = np.zeros(k)
+    if not scale.min() > 0:
+        c = live[np.argmin(scale)]
+        direction[c] = np.sign(target[c])
+        raise InfeasibleProblemError(f"constraint {c} prices a zero payoff", direction=direction)
+    a, target = a[:, live] / scale, target[live] / scale
+    try:
+        pinned = _pinned(a, w, target, theta, nonnegative)
+        u, j, g, converged, steps = pinned or _dual_newton(a, w, target, theta, nonnegative)
+    except InfeasibleProblemError as exc:
+        direction[live] = exc.direction / scale
+        exc.direction = direction / np.linalg.norm(direction)
+        raise
+    multipliers = np.zeros(k)
+    multipliers[live] = u / scale
+    return multipliers, j, g, converged, steps
 
 
 def unconditional_bound(
-    problem: BoundProblem,
-    theta: float,
-    nonnegative: bool = True,
-    grad_tol: float = _GRAD_TOL,
-    max_iter: int = _MAX_NEWTON,
+    problem: BoundProblem, theta: float, nonnegative: bool = True
 ) -> BoundResult:
     """Lower bound on E[phi_theta] of the martingale increment.
 
-    Damped Newton on the concave dual, initialized at the multipliers whose
-    implied primal is J = 1 everywhere.  Line search enforces both ascent and
-    the dual domain (the affine multiplier combination must stay negative for
-    theta < 0).  Unbounded dual ascent certifies an infeasible constraint
-    system and raises InfeasibleProblemError with the offending direction.
-
-    ``grad_tol`` is the tolerance on max |gradient|, i.e. on the constraint
-    residuals.  Near the optimum the ascent a step predicts can fall below the
-    rounding floor of the dual value (a few ulps of the magnitudes summed into
-    it), where comparing dual values only compares round-off; such a step is
-    judged by the gradient instead and accepted if it lowers max |gradient|.
-    ConvergenceError is still raised when the gradient stops falling above
-    ``grad_tol``.  Once max |gradient| <= ``grad_tol``, one confirming step
-    is taken where the residuals are still above round-off; it counts in
-    ``iterations`` when kept.
+    The concave dual is solved on one scaled system (``_solve_dual``), so the
+    bound does not depend on the units of a payoff, and ``converged`` means
+    every residual is within 1e-10 of its constraint's magnitude at J = 1,
+    whether the constraints pinned J (``iterations`` = 0) or Newton found it.
+    ``lambda_bar`` is E[phi~(J)] (see ``_phi_tilde``), equal to E[phi(J)] on
+    E[J] = 1, and ``multipliers`` are phi's.  Unbounded dual ascent raises
+    InfeasibleProblemError with the offending direction.
 
     The dual is a weighted sum over sample rows, so it is solved on the
     distinct rows of [1, Y / R_inf] with their weights summed, and E[Q] is
@@ -643,12 +651,8 @@ def unconditional_bound(
     expanded back to one entry per sample of positive weight.  Rows of a
     problem made by ``generate_problem_from_chain`` are read from its
     per-state tables and grouped by their transition label, other problems'
-    rows by comparing them (see ``_grouped_rows``).  When there are
-    no more distinct rows than constraints and the rows are independent, the
-    constraints pin J (the complete ``arrow_pairs`` menu, a state's full
-    Arrow menu in ``conditional_bound``): J is then solved from them
-    directly, with each constraint scaled by its own magnitude, and the
-    result reports ``iterations = 0``; see ``_pinned``.
+    rows by comparing them (see ``_grouped_rows``).  The complete
+    ``arrow_pairs`` menu pins J.
     """
     keep = problem.weights > 0
     w = problem.weights[keep]
@@ -661,16 +665,10 @@ def unconditional_bound(
     a = np.hstack([np.ones((t, 1)), y])  # z = a @ u
     target = np.concatenate([[1.0], q_bar])
 
-    u, j, g_val, converged, iterations = _solve_dual(
-        a, w, target, theta, nonnegative, grad_tol, max_iter
-    )
-    if nonnegative:
-        primal = float(w @ phi(theta, j))
-    else:
-        primal = float(w @ ((j**2 - 1.0) / 2.0))  # theta = 1 extends to J < 0
-    residuals = np.concatenate(
-        [[float(w @ j) - 1.0], a[:, 1:].T @ (w * j) - q_bar]
-    )
+    u, j, g_val, converged, iterations = _solve_dual(a, w, target, theta, nonnegative)
+    u[0] += 1.0 if theta == 0.0 else 1.0 / theta  # phi'(1)
+    primal = float(w @ _phi_tilde(theta, j))
+    residuals = np.concatenate([[float(w @ j) - 1.0], a[:, 1:].T @ (w * j) - q_bar])
     return BoundResult(
         lambda_bar=primal,
         multipliers=u,

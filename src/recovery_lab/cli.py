@@ -472,9 +472,17 @@ def run_demo_approx(args) -> int:
     rho_list = overrides.pop("rhos", (1.0, 0.1, 0.01, 1e-4))
     if isinstance(rho_list, float):
         rho_list = (rho_list,)
+    if not all(isinstance(rho, float) and 0.0 < rho < 2.0 for rho in rho_list):
+        raise ValueError(f"rhos must be floats in (0, 2), got {rho_list!r}")
     n_zeta = _count_override(overrides, "n_zeta", 25, 1)
-    zeta_lo = float(overrides.pop("zeta_min", -1.0))
-    zeta_hi = float(overrides.pop("zeta_max", 2.0))
+    zeta_lo = overrides.pop("zeta_min", -1.0)
+    zeta_hi = overrides.pop("zeta_max", 2.0)
+    if not (isinstance(zeta_lo, float) and isinstance(zeta_hi, float)
+            and -np.inf < zeta_lo <= zeta_hi < np.inf):
+        raise ValueError(
+            f"zeta_min and zeta_max must be finite floats with zeta_min <= zeta_max, "
+            f"got {zeta_lo!r} and {zeta_hi!r}"
+        )
     n_y = _count_override(overrides, "n_y", 41, 2)
     sigma_y = overrides.pop("sigma_y", 0.25)
     if not (isinstance(sigma_y, float) and 0.0 < sigma_y < np.inf):

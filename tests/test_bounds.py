@@ -255,7 +255,7 @@ class TestUnconditionalBound:
             eco, mk.recover(eco), "arrow", horizon_t=5_000, mode="sampled", seed=4
         )
         for theta in (-1.0, 0.0, 1.0):
-            res = bd.unconditional_bound(prob, theta, max_iter=50)
+            res = bd.unconditional_bound(prob, theta)
             assert res.converged
             assert 1 <= res.iterations <= 50
             # the samples take one distinct row per live transition at most
@@ -337,32 +337,89 @@ class TestUnconditionalBound:
         assert bd.unconditional_bound(prob, 0.0).iterations == 0
 
     def test_infeasible_reported_with_direction(self):
-        # a claim paying exactly R_inf must have weighted price 1; demand 2
+        # a claim paying exactly R_inf must have weighted price 1; demand 2.
+        # Quoted in units 1e6 times larger, the direction is still one of the
+        # caller's dual.
         t = 50
         rng = np.random.default_rng(2)
         r = rng.uniform(1.0, 1.1, size=t)
+        w = np.full(t, 1.0 / t)
+        for units in (1.0, 1e6):
+            prob = bd.BoundProblem(
+                payoff_samples=units * r[:, None],
+                price_samples=np.full((t, 1), 2.0 * units),
+                long_bond_return=r,
+            )
+            with pytest.raises(InfeasibleProblemError) as info:
+                bd.unconditional_bound(prob, 1.0)
+            direction = info.value.direction
+            assert direction is not None
+            # the certificate is a recession direction: the dual objective
+            # keeps growing along it, which is impossible for a feasible primal
+            y = units * r[:, None] / r[:, None]  # payoff / long-bond return
+            a = np.hstack([np.ones((t, 1)), y])
+            target = np.array([1.0, 2.0 * units])
+
+            def dual(u):
+                z = a @ u
+                return float(u @ target - w @ (0.5 * np.maximum(z, 0.0) ** 2 + 0.5))
+
+            vals = [dual(s * direction) for s in (1e3, 1e4, 1e5)]
+            assert vals[0] < vals[1] < vals[2]
+
+    @pytest.mark.parametrize("price", [0.5, -0.5])
+    def test_zero_payoff_with_nonzero_price_is_infeasible(self, price):
+        # a payoff of 0 in every row has price 0; its constraint has no
+        # magnitude to scale by, and its own multiplier is the direction
+        r = np.array([1.0, 1.05, 1.1])
         prob = bd.BoundProblem(
-            payoff_samples=r[:, None],
-            price_samples=np.full((t, 1), 2.0),
+            payoff_samples=np.column_stack([r, np.zeros(3)]),
+            price_samples=np.tile([1.0, price], (3, 1)),
             long_bond_return=r,
         )
-        with pytest.raises(InfeasibleProblemError) as info:
-            bd.unconditional_bound(prob, 1.0)
-        direction = info.value.direction
-        assert direction is not None
-        # the certificate is a recession direction: the dual objective keeps
-        # growing along it, which is impossible for a feasible primal
-        w = np.full(t, 1.0 / t)
-        y = r[:, None] / r[:, None]  # payoff / long-bond return
-        a = np.hstack([np.ones((t, 1)), y])
-        target = np.concatenate([[1.0], [2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InfeasibleProblemError) as info:
+                bd.unconditional_bound(prob, 0.0)
+        np.testing.assert_array_equal(info.value.direction, [0.0, 0.0, np.sign(price)])
 
-        def dual(u):
-            z = a @ u
-            return float(u @ target - w @ (0.5 * np.maximum(z, 0.0) ** 2 + 0.5))
+    @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 1e-9, 0.5, 1.0])
+    def test_multipliers_are_those_of_phi(self, recursive_economy, theta):
+        # first-order condition of the reported multipliers: phi'(J) = a u,
+        # with phi'(r) = r^theta / theta (1 + log r at theta = 0)
+        rec = mk.recover(recursive_economy)
+        menu = np.array([[1.0, 0.5]])
+        prob = bd.generate_problem_from_chain(recursive_economy, rec, menu)
+        res = bd.unconditional_bound(prob, theta)
+        y = prob.payoff_samples / prob.long_bond_return[:, None]
+        a = np.hstack([np.ones((y.shape[0], 1)), y])
+        slope = 1.0 + np.log(res.j) if theta == 0.0 else res.j**theta / theta
+        np.testing.assert_allclose(a @ res.multipliers, slope, rtol=1e-12, atol=1e-12)
 
-        vals = [dual(s * direction) for s in (1e3, 1e4, 1e5)]
-        assert vals[0] < vals[1] < vals[2]
+    @pytest.mark.parametrize(
+        "theta",
+        [1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6, -1 + 1e-6, -1 - 1e-6, -1 + 1e-9, -1 - 1e-9],
+    )
+    def test_theta_near_zero_and_minus_one(self, theta):
+        # the power formulas divide by theta and by 1 + theta: the dual
+        # raised ConvergenceError or was up to 8e-1 off at |theta| <= 1e-6,
+        # and took 70 Newton steps at theta = -1 - 1e-9
+        eco = random_recursive_economy(np.random.default_rng(3), 4)
+        rec = mk.recover(eco)
+        near = 0.0 if abs(theta) < 0.5 else -1.0
+        menu = np.random.default_rng(7).uniform(0.5, 1.5, size=(2, 4))
+        for spec in ("arrow", menu):
+            prob = bd.generate_problem_from_chain(eco, rec, spec)
+            got = bd.unconditional_bound(prob, theta)
+            want = bd.unconditional_bound(prob, near)
+            assert got.converged and got.iterations <= want.iterations + 1
+            # lambda_bar is smooth in theta, with a slope below lambda_bar
+            assert got.lambda_bar == pytest.approx(want.lambda_bar, rel=abs(theta - near) + 1e-12)
+        np.testing.assert_allclose(
+            bd.conditional_bound(eco, rec, theta),
+            bd.conditional_bound(eco, rec, near),
+            rtol=abs(theta - near) + 1e-12,
+        )
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to one"):
@@ -769,16 +826,93 @@ class TestPinnedMenus:
             bd.unconditional_bound(one, 1.0).lambda_bar, rel=1e-10
         )
 
-    def test_pinned_point_meets_grad_tol_unscaled(self):
-        # payoffs of 1e9: the scaled residuals of the pinned J are round-off,
-        # its unscaled ones about 2e-7, so at grad_tol 1e-10 Newton must
-        # finish, and converged means max|residual| <= grad_tol either way
+    def test_pinned_path_taken_for_payoffs_of_any_size(self):
+        # payoffs of 1e9: the pinned J's residuals are round-off relative to
+        # each constraint, so the pinned path is taken, and the bound is that
+        # of the same problem in units 2^30 times larger
         distinct = np.array([[3.0, 0.0], [0.0, 2.0], [1.0, 1.0]]) * 1e9
         w = np.array([0.3, 0.4, 0.3])
         j = np.array([1.2, 0.85, 1.0]) / (w @ [1.2, 0.85, 1.0])
-        prob = bd.BoundProblem(distinct, np.tile((w * j) @ distinct, (3, 1)), np.ones(3), w)
-        for tol in (1e-10, 1e-6):
-            res = bd.unconditional_bound(prob, 0.0, grad_tol=tol)
-            assert res.converged
-            assert np.max(np.abs(res.constraint_residuals)) <= tol
-            assert (res.iterations == 0) == (tol == 1e-6)
+        q = (w * j) @ distinct
+        big = bd.BoundProblem(distinct, np.tile(q, (3, 1)), np.ones(3), w)
+        res = bd.unconditional_bound(big, 0.0)
+        small = bd.BoundProblem(distinct * 2.0**-30, np.tile(q * 2.0**-30, (3, 1)), np.ones(3), w)
+        assert res.iterations == 0 and res.converged
+        assert res.lambda_bar == bd.unconditional_bound(small, 0.0).lambda_bar
+        np.testing.assert_allclose(res.j, j, rtol=1e-12)
+
+
+class TestUnits:
+    """A bound belongs to its constraint set, so the units a payoff and its
+    prices are quoted in must not move it: each payoff row of the menu and
+    its prices are multiplied by a factor of their own.
+
+    A factor 2^k scales the data exactly, and the bound moves by round-off
+    at most.  A factor 10^k rounds the data, which moves the true bound by
+    the multipliers (about sqrt(lambda)) times that rounding, amplified by
+    kappa^2, kappa the condition number of the scaled constraints: so 10^k
+    is held to 1e-10 relative plus eps kappa^2 sqrt(lambda).  That floor
+    matters only for bounds near 0 and for nearly dependent constraints
+    (2-state menus whose R_inf is nearly constant); elsewhere it is below
+    1e-10 lambda.
+    """
+
+    examples = settings(max_examples=40, deadline=None)
+    draws = given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        zero_share=st.sampled_from([0.0, 0.3]),
+        theta=st.sampled_from([-1.0, 0.0, 1.0]),
+        data=st.data(),
+    )
+
+    @staticmethod
+    def _draw(data, seed, n, zero_share):
+        rng = np.random.default_rng(seed)
+        eco = _sparse_recursive_economy(rng, n, zero_share)
+        if data.draw(st.booleans(), label="arrow"):
+            menu = np.eye(n)
+        else:
+            menu = rng.uniform(0.5, 1.5, size=(data.draw(st.integers(1, n), label="m"), n))
+        m = menu.shape[0]
+        binary = data.draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m), label="2^k")
+        decimal = data.draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m), label="10^k")
+        return eco, mk.recover(eco), menu, 2.0 ** np.array(binary), 10.0 ** np.array(decimal)
+
+    @staticmethod
+    def _rounding_floor(y, w, lam):
+        """eps kappa^2 sqrt(lambda) of the constraints [1, y] with weights w."""
+        a = np.hstack([np.ones((w.size, 1)), y])
+        a = a[:, a.any(axis=0)]
+        a = np.sqrt(w)[:, None] * a / (w @ np.abs(a))
+        return np.finfo(float).eps * np.linalg.cond(a) ** 2 * np.sqrt(lam)
+
+    @examples
+    @draws
+    def test_unconditional_bound_does_not_depend_on_units(self, seed, n, zero_share, theta, data):
+        eco, rec, menu, binary, decimal = self._draw(data, seed, n, zero_share)
+        prob = bd.generate_problem_from_chain(eco, rec, menu)
+        want = bd.unconditional_bound(prob, theta)
+        y, w = bd._grouped_rows(prob, prob.weights)[:2]
+        rounding = self._rounding_floor(y, w, want.lambda_bar)
+        for factor, rel, floor in ((binary, 1e-12, 0.0), (decimal, 1e-10, rounding)):
+            got = bd.unconditional_bound(
+                bd.generate_problem_from_chain(eco, rec, factor[:, None] * menu), theta
+            )
+            assert got.converged
+            assert factor is decimal or got.iterations == want.iterations
+            assert abs(got.lambda_bar - want.lambda_bar) <= rel * want.lambda_bar + floor
+
+    @examples
+    @draws
+    def test_conditional_bound_does_not_depend_on_units(self, seed, n, zero_share, theta, data):
+        eco, rec, menu, binary, decimal = self._draw(data, seed, n, zero_share)
+        want = bd.conditional_bound(eco, rec, theta, menu)
+        p, r_inf = eco.transition.entries, rec.r_inf
+        rounding = np.array([
+            self._rounding_floor(menu.T[live] / r_inf[i, live, None], p[i, live], want[i])
+            for i, live in enumerate(p > 0)
+        ])
+        for factor, rel, floor in ((binary, 1e-12, 0.0), (decimal, 1e-10, rounding)):
+            got = bd.conditional_bound(eco, rec, theta, factor[:, None] * menu)
+            assert np.all(np.abs(got - want) <= rel * want + floor)

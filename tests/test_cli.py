@@ -397,6 +397,22 @@ class TestBounds:
         for entry in payload["theta"].values():
             assert abs(entry["lambda_bar"]) <= 1e-10
 
+    def test_theta_next_to_zero(self, tmp_path, recursive_economy_file):
+        # theta = 1e-9 used to exit 2: the dual's power formulas divided by it
+        out = tmp_path / "bnd"
+        assert cli.main(
+            ["bounds", "--input", str(recursive_economy_file), "--out", str(out),
+             "--theta=1e-9,0"]
+        ) == 0
+        payload = json.loads((out / "bounds.json").read_text())
+        near, zero = payload["theta"]["1e-09"], payload["theta"]["0.0"]
+        assert near["converged"]
+        assert near["lambda_bar"] == pytest.approx(zero["lambda_bar"], rel=1e-8)
+        # the multipliers are phi's: phi'(1) = 1 / theta moves the first one
+        np.testing.assert_allclose(near["multipliers"][1:], zero["multipliers"][1:], rtol=1e-8)
+        shift = near["multipliers"][0] - 1e9
+        assert shift == pytest.approx(zero["multipliers"][0] - 1.0, abs=1e-6)
+
     def test_one_eigensolve(self, tmp_path, recursive_economy_file, monkeypatch):
         calls = count_calls(monkeypatch, mk, "perron_frobenius")
         assert cli.main(
@@ -481,12 +497,16 @@ class TestDemoApprox:
     @pytest.mark.parametrize(
         "override",
         ["n_y=0", "n_y=1", "n_y=2.5", "n_y=inf", "n_zeta=0", "n_zeta=1.5",
-         "sigma_y=-1", "sigma_y=0", "sigma_y=inf", "sigma_y=nan", "sigma_y=a"],
+         "sigma_y=-1", "sigma_y=0", "sigma_y=inf", "sigma_y=nan", "sigma_y=a",
+         "rhos=abc", "rhos=0", "rhos=-1", "rhos=2", "rhos=3", "rhos=1,nan", "rhos=inf",
+         "zeta_min=1,2", "zeta_max=a", "zeta_min=nan", "zeta_max=inf", "zeta_min=3"],
     )
     def test_invalid_grid_override_is_an_input_error(self, override, tmp_path, capsys):
         # n_y = 0 used to raise IndexError, n_y = 1 and sigma_y = -1 to exit 0
         # with meaningless residuals, n_y = 2.5 to be truncated to 2, and
-        # sigma_y = 0 to exit 2 as if the model were at fault
+        # sigma_y = 0 to exit 2 as if the model were at fault; rhos = abc and
+        # zeta_min = 1,2 raised TypeError, rhos = 0 (a unit root) exited 0 and
+        # rhos = -1 or 3 exited 2; zeta_min = 3 is above the default zeta_max
         argv = ["demo-approx", "--out", str(tmp_path), "--override", "rhos=1.0",
                 "--override", "n_zeta=3", "--override", override]
         assert cli.main(argv) == 1
