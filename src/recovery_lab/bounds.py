@@ -179,6 +179,8 @@ class BoundProblem:
         return problem
 
     def _store(self, y, q, r, index, weights) -> None:
+        if not all(np.isfinite(a).all() for a in (y, q, r)):
+            raise ValueError("payoffs, prices and long bond returns must be finite")
         if np.any(r <= 0):
             raise ValueError("long bond returns must be strictly positive")
         t = y.shape[0] if index is None else index[0].size
@@ -187,8 +189,8 @@ class BoundProblem:
         else:
             # contiguous, so weighted sums do not depend on the caller's layout
             w = np.ascontiguousarray(np.atleast_1d(np.asarray(weights, dtype=float)))
-            if w.shape[0] != t or np.any(w < 0):
-                raise ValueError("weights must be nonnegative, one per sample")
+            if w.shape[0] != t or not (np.isfinite(w) & (w >= 0)).all():
+                raise ValueError("weights must be finite and nonnegative, one per sample")
             if abs(w.sum() - 1.0) > 1e-10:
                 raise ValueError("weights must sum to one")
         object.__setattr__(self, "_payoff_table", y)
@@ -256,14 +258,17 @@ def conditional_discrepancy(
     """Per-state discrepancy sum_j p_ij phi_theta(h_hat_ij), an exact sum.
 
     Nonnegative, and zero exactly when the martingale increments are one on
-    every reachable transition.
+    every reachable transition.  It is summed as sum_j p_ij phi~(h_hat_ij)
+    (see ``_phi_tilde``), equal since sum_j p_ij h_hat_ij = 1, which keeps
+    its digits next to theta = 0 and -1, where phi's (r - 1) / theta term
+    cancels.
     """
     if recovered.h_increments is None:
         raise ValueError("recovery lacks martingale increments (no transition given)")
     p = economy.transition.entries
     h = recovered.h_increments
     live = p > 0
-    vals = phi(theta, np.where(live, h, 1.0))
+    vals = _phi_tilde(theta, np.where(live, h, 1.0))
     return np.sum(np.where(live, p * vals, 0.0), axis=1)
 
 
@@ -324,7 +329,7 @@ def kazemi_test(problem: BoundProblem) -> NDArray[np.float64]:
     martingale component, in which case 1/R_inf is itself the one-period
     discount factor.
     """
-    y, w, _, prices, price_w = _grouped_rows(problem, problem.weights)
+    y, w, _, prices, price_w = _grouped_rows(problem)
     return w @ y - price_w @ prices
 
 
@@ -410,13 +415,13 @@ def _label_rows(
     return reps, sums, index[labels]
 
 
-def _grouped_rows(problem: BoundProblem, w: NDArray[np.float64], keep=None):
+def _grouped_rows(problem: BoundProblem):
     """Distinct rows of Y / R_inf and of Q, each with its weights summed.
 
     Returns the rows of Y / R_inf, their weights, each sample's row (None
     when every sample is its own row), then the price rows and their weights,
-    over the samples in the boolean mask ``keep`` (all if None) with weights
-    ``w``.  E[Q] is the price rows' weights times the rows.  Plain rows are
+    over the samples of positive weight: a row of weight 0 takes no part in
+    any sum.  E[Q] is the price rows' weights times the rows.  Plain rows are
     grouped by comparing them (``_distinct_rows``).  A problem stored by
     transition groups them by label instead (``_label_rows``), with no T x m
     array formed: its rows i -> j by i * n + j, read from the tables as
@@ -426,6 +431,10 @@ def _grouped_rows(problem: BoundProblem, w: NDArray[np.float64], keep=None):
     population problem and immaterial for the uniform weights of a sampled
     one, so its plain copy gets the same sums.
     """
+    keep = problem.weights > 0
+    w = problem.weights[keep]
+    if w.size == keep.size:  # a boolean row mask copies slowly; skip it
+        keep = None
     if problem._index is None:
         payoff, r = problem.payoff_samples, problem.long_bond_return
         price = problem.price_samples
@@ -654,12 +663,7 @@ def unconditional_bound(
     rows by comparing them (see ``_grouped_rows``).  The complete
     ``arrow_pairs`` menu pins J.
     """
-    keep = problem.weights > 0
-    w = problem.weights[keep]
-    # a boolean row mask copies slowly; skip it if all rows are kept
-    y, w, group, prices, price_w = _grouped_rows(
-        problem, w, keep if w.size < keep.size else None
-    )
+    y, w, group, prices, price_w = _grouped_rows(problem)
     q_bar = price_w @ prices
     t = y.shape[0]
     a = np.hstack([np.ones((t, 1)), y])  # z = a @ u
@@ -737,40 +741,34 @@ def generate_problem_from_chain(
     q = economy.prices.entries
     n = economy.n
 
-    pairs_menu = False
+    pairs_menu = isinstance(payoff_spec, str) and payoff_spec == "arrow_pairs"
     if isinstance(payoff_spec, str):
-        if payoff_spec == "arrow":
-            psi = np.eye(n)
-        elif payoff_spec == "arrow_pairs":
-            pairs_menu = True
-        else:
+        if payoff_spec not in ("arrow", "arrow_pairs"):
             raise ValueError(f"unknown payoff_spec {payoff_spec!r}")
+        psi = np.eye(n)
     else:
         psi = np.atleast_2d(np.asarray(payoff_spec, dtype=float))
         if psi.shape[1] != n:
             raise ValueError("payoff matrix must have one column per state")
-    if not pairs_menu:
-        prices = psi @ q.T  # prices[a, i] = price of asset a in state i
+    if mode not in ("population", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and horizon_t < 1:
+        raise ValueError("sampled mode needs horizon_t >= 1")
+    if pairs_menu and mode != "population":
+        raise ValueError("the transition-contingent menu requires population mode")
 
+    pi = stationary_distribution(economy.transition)
     if mode == "population":
-        pi = stationary_distribution(economy.transition)
         rows_i, rows_j = np.nonzero(p)
         weights = pi[rows_i] * p[rows_i, rows_j]
-    elif mode == "sampled":
-        if horizon_t < 1:
-            raise ValueError("sampled mode needs horizon_t >= 1")
+    else:
         rng = np.random.default_rng(seed)
-        pi = stationary_distribution(economy.transition)
         first = int(rng.choice(n, p=pi))
         states = _walk(np.cumsum(p, axis=1), first, rng.random(horizon_t))
         rows_i, rows_j = states[:-1], states[1:]
         weights = np.full(horizon_t, 1.0 / horizon_t)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     if pairs_menu:
-        if mode != "population":
-            raise ValueError("the transition-contingent menu requires population mode")
         # one claim per live transition, contingent on both endpoints: the
         # rows are the same live transitions in the same order, so the payoff
         # block is the identity and a row's prices are its state's claims
@@ -780,6 +778,7 @@ def generate_problem_from_chain(
             long_bond_return=recovered.r_inf[rows_i, rows_j],
             weights=weights,
         )
+    prices = psi @ q.T  # prices[a, i] = price of asset a in state i
     return BoundProblem._by_transition(
         np.ascontiguousarray(psi.T),
         np.ascontiguousarray(prices.T),

@@ -256,12 +256,11 @@ def run_lrr(args) -> int:
     sdf = lrr_mod.sdf_coefficients(params, value)
     pf = lrr_mod.solve_pf(params, sdf)
     cm = lrr_mod.changed_measure(params, pf)
-    rn = lrr_mod.risk_neutral_dynamics(params, sdf)
 
     dynamics = {
         "p": params.dynamics(),
-        "p_hat": cm.dynamics(params),
-        "risk_neutral": rn.dynamics(params),
+        "p_hat": cm,
+        "risk_neutral": lrr_mod.risk_neutral_dynamics(params, sdf),
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,7 +313,7 @@ def run_lrr(args) -> int:
                 "mu_11": cm.mu_11,
                 "mu_12": cm.mu_12,
                 "mu_22": cm.mu_22,
-                "iota_hat": cm.iota_hat.tolist(),
+                "iota_hat": cm.iota.tolist(),
             },
             "long_bond_yield_annualized": -pf.eta_hat * lrr_mod.MONTHS_PER_YEAR,
             "density_means": {

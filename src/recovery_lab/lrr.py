@@ -54,12 +54,10 @@ __all__ = [
     "AffineFunctional",
     "ValueCoefficients",
     "PfSolution",
-    "ChangedMeasureParams",
     "AffineExpectationCoeffs",
     "DensityResult",
     "FunctionalMoments",
     "YieldCurves",
-    "default_params",
     "load_default_params",
     "apply_overrides",
     "consumption_functional",
@@ -76,7 +74,6 @@ __all__ = [
     "risk_neutral_dynamics",
     "add_functionals",
     "solve_affine_ode",
-    "affine_expectation",
     "simulate_states",
     "simulate_functional",
     "stationary_density",
@@ -177,10 +174,6 @@ class LrrParams:
             sigma_1=np.asarray(self.sigma_1, dtype=float),
             sigma_2=np.asarray(self.sigma_2, dtype=float),
         )
-
-
-def default_params() -> LrrParams:
-    return LrrParams()
 
 
 def consumption_functional(params: LrrParams) -> AffineFunctional:
@@ -419,27 +412,7 @@ def solve_pf(params: LrrParams, sdf: AffineFunctional) -> PfSolution:
     return pf
 
 
-@dataclass(frozen=True)
-class ChangedMeasureParams:
-    """State-dynamics coefficients under the recovered measure."""
-
-    mu_11: float
-    mu_12: float
-    mu_22: float
-    iota_hat: NDArray[np.float64]
-
-    def dynamics(self, params: LrrParams) -> StateDynamics:
-        return StateDynamics(
-            mu_11=self.mu_11,
-            mu_12=self.mu_12,
-            mu_22=self.mu_22,
-            iota=self.iota_hat,
-            sigma_1=np.asarray(params.sigma_1),
-            sigma_2=np.asarray(params.sigma_2),
-        )
-
-
-def _shifted_dynamics(params: LrrParams, loading: NDArray[np.float64]) -> ChangedMeasureParams:
+def _shifted_dynamics(params: LrrParams, loading: NDArray[np.float64]) -> StateDynamics:
     s1 = np.asarray(params.sigma_1)
     s2 = np.asarray(params.sigma_2)
     i1, i2 = params.iota
@@ -451,24 +424,27 @@ def _shifted_dynamics(params: LrrParams, loading: NDArray[np.float64]) -> Change
         )
     iota2 = params.mu_22 / mu_22 * i2
     iota1 = i1 + (params.mu_12 * i2 - mu_12 * iota2) / params.mu_11
-    return ChangedMeasureParams(
+    return StateDynamics(
         mu_11=params.mu_11,
         mu_12=mu_12,
         mu_22=mu_22,
-        iota_hat=np.array([iota1, iota2]),
+        iota=np.array([iota1, iota2]),
+        sigma_1=s1,
+        sigma_2=s2,
     )
 
 
-def changed_measure(params: LrrParams, pf: PfSolution) -> ChangedMeasureParams:
+def changed_measure(params: LrrParams, pf: PfSolution) -> StateDynamics:
     """State dynamics under the measure induced by the dominant eigenpair.
 
-    mu_11 is unchanged; mu_12 and mu_22 pick up sigma_i . alpha_h; the means
-    shift so the drift keeps the centered form.  Requires mu_22_hat < 0.
+    mu_11 and the volatilities are unchanged; mu_12 and mu_22 pick up
+    sigma_i . alpha_h; the means shift so the drift keeps the centered form.
+    Requires mu_22_hat < 0.
     """
     return _shifted_dynamics(params, pf.alpha_h)
 
 
-def risk_neutral_dynamics(params: LrrParams, sdf: AffineFunctional) -> ChangedMeasureParams:
+def risk_neutral_dynamics(params: LrrParams, sdf: AffineFunctional) -> StateDynamics:
     """State dynamics under the measure absorbing the full shock loading of
     the discount factor (instantaneous risk neutralization)."""
     return _shifted_dynamics(params, sdf.alpha)
@@ -478,16 +454,17 @@ def change_functional_measure(
     functional: AffineFunctional,
     params: LrrParams,
     loading: NDArray[np.float64],
-    cm: ChangedMeasureParams,
+    cm: StateDynamics,
 ) -> AffineFunctional:
     """Re-express a functional's coefficients under a shifted measure.
 
     ``loading`` is the martingale loading of the measure change (alpha_h for
-    the recovered measure, alpha_s for the risk-neutral one); the returned
-    coefficients are centered at the new iota.
+    the recovered measure, alpha_s for the risk-neutral one) and ``cm`` the
+    dynamics it leads to; the returned coefficients are centered at their
+    iota.
     """
     i1, i2 = params.iota
-    ih1, ih2 = cm.iota_hat
+    ih1, ih2 = cm.iota
     cross = float(functional.alpha @ loading)
     return AffineFunctional(
         b0=functional.b0
@@ -500,19 +477,15 @@ def change_functional_measure(
     )
 
 
-def recovered_sdf_functional(
-    params: LrrParams, pf: PfSolution, cm: ChangedMeasureParams
-) -> AffineFunctional:
+def recovered_sdf_functional(pf: PfSolution, dynamics: StateDynamics) -> AffineFunctional:
     """The trend/eigenfunction part exp(eta t) e(X_0)/e(X_t) as a functional
-    under the recovered measure (its log is linear in the state, so there is
-    no Ito correction)."""
-    s1 = np.asarray(params.sigma_1)
-    s2 = np.asarray(params.sigma_2)
+    under the recovered measure, whose dynamics ``changed_measure`` gives
+    (its log is linear in the state, so there is no Ito correction)."""
     return AffineFunctional(
         b0=pf.eta_hat,
-        b1=-pf.e1 * cm.mu_11,
-        b2=-(pf.e1 * cm.mu_12 + pf.e2 * cm.mu_22),
-        alpha=-(pf.e1 * s1 + pf.e2 * s2),
+        b1=-pf.e1 * dynamics.mu_11,
+        b2=-(pf.e1 * dynamics.mu_12 + pf.e2 * dynamics.mu_22),
+        alpha=-(pf.e1 * dynamics.sigma_1 + pf.e2 * dynamics.sigma_2),
     )
 
 
@@ -542,12 +515,6 @@ class AffineExpectationCoeffs:
         t0, t1, t2 = self.evaluate(t)
         x = np.asarray(x, dtype=float)
         return float(np.exp(t0 + t1 * x[0] + t2 * x[1]))
-
-    def log_expectation_at(
-        self, t: float, x1: NDArray[np.float64], x2: NDArray[np.float64]
-    ) -> NDArray[np.float64]:
-        t0, t1, t2 = self.evaluate(t)
-        return t0 + t1 * x1 + t2 * x2
 
 
 _STEP_GROWTH = 5.0  # a propagator step grows like exp(-mu_11 t / _STEP_GROWTH)
@@ -743,20 +710,6 @@ def solve_affine_ode(
     """
     t_max = float(t_max)
     return AffineExpectationCoeffs(t_max=t_max, _at=_exponent_path(functional, dynamics, t_max))
-
-
-def affine_expectation(
-    functional: AffineFunctional,
-    dynamics: StateDynamics,
-    horizon: float,
-    x,
-) -> float:
-    """E[M_t | X_0 = x] for one horizon (integrates the exponent ODEs)."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if horizon == 0:
-        return 1.0
-    return solve_affine_ode(functional, dynamics, horizon).expectation(horizon, x)
 
 
 # ---------------------------------------------------------------------------
@@ -1362,10 +1315,9 @@ def _yield_laws(params: LrrParams, horizons: NDArray[np.float64], cash_flow: str
     value = solve_value_function(params)
     sdf = sdf_coefficients(params, value)
     pf = solve_pf(params, sdf)
-    cm = changed_measure(params, pf)
+    dyn_p, dyn_hat = params.dynamics(), changed_measure(params, pf)
     g = consumption_functional(params) if cash_flow == "consumption" else unit_functional()
-    g_hat = change_functional_measure(g, params, pf.alpha_h, cm)
-    dyn_p, dyn_hat = params.dynamics(), cm.dynamics(params)
+    g_hat = change_functional_measure(g, params, pf.alpha_h, dyn_hat)
     price = _exponents(add_functionals(sdf, g), dyn_p, horizons)
     out = []
     for forecast, dyn in ((g, dyn_p), (g_hat, dyn_hat)):

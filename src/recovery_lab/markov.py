@@ -54,7 +54,6 @@ __all__ = [
     "StructuredRecovery",
     "build_economy",
     "risk_neutral",
-    "forward_measure",
     "forward_measures",
     "perron_frobenius",
     "recover",
@@ -402,11 +401,6 @@ def forward_measures(
         power = t
         out[t] = StochasticMatrix(m / m.sum(axis=1, keepdims=True))
     return out
-
-
-def forward_measure(prices: PricingMatrix, horizon: int) -> StochasticMatrix:
-    """Horizon-t forward measure; see ``forward_measures``."""
-    return forward_measures(prices, [horizon])[horizon]
 
 
 # ---------------------------------------------------------------------------

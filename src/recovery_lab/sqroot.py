@@ -30,6 +30,7 @@ __all__ = [
     "EigenCandidate",
     "SimulationResult",
     "eigen_candidates",
+    "drift_identity_residual",
     "select_ergodic",
     "simulate",
     "square_root_step",

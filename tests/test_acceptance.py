@@ -35,7 +35,7 @@ def report(num: int, ok: bool, message: str):
 
 @pytest.fixture(scope="module")
 def lrr_bundle():
-    params = lrr.default_params()
+    params = lrr.LrrParams()
     value = lrr.solve_value_function(params)
     sdf = lrr.sdf_coefficients(params, value)
     pf = lrr.solve_pf(params, sdf)
@@ -139,9 +139,9 @@ def test_c04_horizon_invariance():
             )
         if np.ptp(q.sum(axis=1)) > 1e-8:  # state-dependent bond prices
             tested += 1
-            p1 = mk.forward_measure(eco.prices, 1).entries
+            p1 = mk.forward_measures(eco.prices, [1])[1].entries
             for t in (2, 5, 10):
-                pt = mk.forward_measure(eco.prices, t).entries
+                pt = mk.forward_measures(eco.prices, [t])[t].entries
                 min_violation = min(
                     min_violation,
                     float(np.max(np.abs(pt - np.linalg.matrix_power(p1, t)))),
@@ -210,7 +210,7 @@ def stationary_ensembles(lrr_bundle):
     start = time.perf_counter()
     draws = {
         name: lrr.simulate_states(dyn, 600.0, MC_DT, ENSEMBLE_PATHS, seed)
-        for name, dyn, seed in (("p", params.dynamics(), 5), ("p_hat", cm.dynamics(params), 6))
+        for name, dyn, seed in (("p", params.dynamics(), 5), ("p_hat", cm, 6))
     }
     return draws, time.perf_counter() - start
 
@@ -231,7 +231,7 @@ def test_c06_lrr_pipeline(lrr_bundle, affine_gate, stationary_ensembles):
     se_mean_h = np.sqrt(dens_hat.cov[1, 1] / n_paths)
     z_mean_p = (dens_p.mean[1] - mean_t) / se_mean_p
     z_var_p = (dens_p.cov[1, 1] - var_t) / se_var_p
-    z_mean_h = (dens_hat.mean[1] - cm.iota_hat[1]) / se_mean_h
+    z_mean_h = (dens_hat.mean[1] - cm.iota[1]) / se_mean_h
     elapsed = time.perf_counter() - start
     sims_ok = abs(z_mean_p) <= 3 and abs(z_var_p) <= 3 and abs(z_mean_h) <= 3
     ok = d_ok and root_ok and sims_ok and elapsed < 300.0
@@ -287,7 +287,7 @@ def test_exact_stationary_laws_match_ensembles(lrr_bundle, affine_gate, stationa
     n = ENSEMBLE_PATHS
     laws = {
         "p": lrr.StationaryLaw(params.dynamics()),
-        "p_hat": lrr.StationaryLaw(cm.dynamics(params)),
+        "p_hat": lrr.StationaryLaw(cm),
     }
     for name, law in laws.items():
         grid = law.density()

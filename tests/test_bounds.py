@@ -95,6 +95,26 @@ class TestConditionalDiscrepancy:
         d_minus = bd.conditional_discrepancy(recursive_economy, rec, -1.0)
         np.testing.assert_allclose(d_minus, -(p * np.log(h)).sum(axis=1), rtol=1e-12)
 
+    @pytest.mark.parametrize("seed", [3, 7])
+    @pytest.mark.parametrize("theta", [2e-8, -2e-8, 1e-7, -1 + 1e-7, -1 - 1e-7, -1 + 2e-8])
+    def test_theta_next_to_zero_and_minus_one(self, seed, theta):
+        # phi's (r - 1) / theta term cancels next to theta = 0 and -1: summed
+        # over phi, the discrepancy at theta = 2e-8 was 1.8e-6 relative from
+        # its theta = 0 value, and 9.1e-8 off at theta = -1 + 1e-7
+        eco = random_recursive_economy(np.random.default_rng(seed), 4)
+        rec = mk.recover(eco)
+        near = 0.0 if abs(theta) < 0.5 else -1.0
+        # the discrepancy is smooth in theta, with a slope below its value
+        rtol = abs(theta - near) + 1e-12
+        np.testing.assert_allclose(
+            bd.conditional_discrepancy(eco, rec, theta),
+            bd.conditional_discrepancy(eco, rec, near),
+            rtol=rtol,
+        )
+        assert bd.population_discrepancy(eco, rec, theta) == pytest.approx(
+            bd.population_discrepancy(eco, rec, near), rel=rtol
+        )
+
 
 class TestConditionalBound:
     def test_full_menu_equals_discrepancy(self, recursive_economy):
@@ -438,6 +458,54 @@ class TestUnconditionalBound:
                 long_bond_return=np.array([1.0, 0.0]),
             )
 
+    @pytest.mark.parametrize(
+        "column, value", [(0, "nan"), (1, "nan"), (1, "inf"), (2, "nan"), (3, "inf")]
+    )
+    def test_non_finite_data_rejected(self, tmp_path, column, value):
+        # weight, r_infty, y_1, q_1: a NaN weight passed the sum-to-one check,
+        # and the bound then reported "constraint 1 prices a zero payoff"
+        # (or ConvergenceError for an infinite price)
+        rows = [["0.5", "1.01", "1.0", "0.9"], ["0.5", "0.98", "2.0", "0.9"]]
+        rows[1][column] = value
+        path = tmp_path / "problem.csv"
+        path.write_text("weight,r_infty,y_1,q_1\n" + "\n".join(map(",".join, rows)) + "\n")
+        with pytest.raises(ValueError, match="finite"):
+            bd.problem_from_csv(path)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_zero_weight_rows_take_no_part(self, seed):
+        # rows of weight 0, in both problem forms, change nothing; kazemi_test
+        # summed them, which moved its last bits
+        rng = np.random.default_rng(seed)
+        n = 2 + seed
+        eco = random_recursive_economy(rng, n)
+        menu = "arrow" if seed % 2 else rng.uniform(0.5, 1.5, size=(n - 1, n))
+        sampled = bd.generate_problem_from_chain(
+            eco, mk.recover(eco), menu, horizon_t=400, mode="sampled", seed=seed
+        )
+        tables = (sampled._payoff_table, sampled._price_table, sampled._r_table)
+        rows_i, rows_j = sampled._index
+        w = rng.random(rows_i.size)
+        w[rng.random(rows_i.size) < 0.3] = 0.0
+        w /= w.sum()
+        keep = w > 0
+        chain = bd.BoundProblem._by_transition(*tables, rows_i, rows_j, w)
+        chain_cut = bd.BoundProblem._by_transition(*tables, rows_i[keep], rows_j[keep], w[keep])
+
+        def plain(problem):
+            return bd.BoundProblem(
+                problem.payoff_samples, problem.price_samples, problem.long_bond_return,
+                problem.weights,
+            )
+
+        for full, cut in ((chain, chain_cut), (plain(chain), plain(chain_cut))):
+            np.testing.assert_array_equal(bd.kazemi_test(full), bd.kazemi_test(cut))
+            for theta in (-1.0, 0.0, 1.0):
+                got, want = bd.unconditional_bound(full, theta), bd.unconditional_bound(cut, theta)
+                assert got.lambda_bar == want.lambda_bar
+                np.testing.assert_array_equal(got.multipliers, want.multipliers)
+                np.testing.assert_array_equal(got.j, want.j)
+
 
 class TestProblemGeneration:
     def test_population_weights_are_stationary_joint_law(self, recursive_economy):
@@ -568,6 +636,28 @@ class TestProblemGeneration:
         for theta in (-1.0, 0.0, 1.0):
             a = bd.unconditional_bound(view, theta).lambda_bar
             assert a == bd.unconditional_bound(copy, theta).lambda_bar
+
+    @pytest.mark.parametrize(
+        "menu, mode, horizon_t, match",
+        [
+            ("arrow_pairs", "sampled", 10_000, "requires population mode"),
+            ("pairs", "population", 0, "unknown payoff_spec"),
+            ("arrow", "simulated", 10_000, "unknown mode"),
+            ("arrow", "sampled", 0, "horizon_t >= 1"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_any_work(
+        self, monkeypatch, recursive_economy, menu, mode, horizon_t, match
+    ):
+        # arrow_pairs with mode="sampled" walked the whole path before it raised
+        rec = mk.recover(recursive_economy)
+        walks = count_calls(monkeypatch, bd, "_walk")
+        laws = count_calls(monkeypatch, bd, "stationary_distribution")
+        with pytest.raises(ValueError, match=match):
+            bd.generate_problem_from_chain(
+                recursive_economy, rec, menu, horizon_t=horizon_t, mode=mode, seed=1
+            )
+        assert len(walks) == len(laws) == 0
 
     def test_csv_header_validated(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -893,7 +983,7 @@ class TestUnits:
         eco, rec, menu, binary, decimal = self._draw(data, seed, n, zero_share)
         prob = bd.generate_problem_from_chain(eco, rec, menu)
         want = bd.unconditional_bound(prob, theta)
-        y, w = bd._grouped_rows(prob, prob.weights)[:2]
+        y, w = bd._grouped_rows(prob)[:2]
         rounding = self._rounding_floor(y, w, want.lambda_bar)
         for factor, rel, floor in ((binary, 1e-12, 0.0), (decimal, 1e-10, rounding)):
             got = bd.unconditional_bound(

@@ -27,7 +27,7 @@ IDENTITY_C = 8.0  # round-off allowance of the pathwise identity, in eps per uni
 
 @pytest.fixture(scope="module")
 def params():
-    return lrr.default_params()
+    return lrr.LrrParams()
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +136,7 @@ class TestPfSolution:
         cm0 = lrr.changed_measure(params, sol)
         assert cm0.mu_12 == params.mu_12
         assert cm0.mu_22 == params.mu_22
-        np.testing.assert_allclose(cm0.iota_hat, params.iota, atol=1e-15)
+        np.testing.assert_allclose(cm0.iota, params.iota, atol=1e-15)
 
     def test_alpha_h_assembly(self, params, sdf, pf):
         expected = (
@@ -149,10 +149,10 @@ class TestPfSolution:
 
 class TestChangedMeasure:
     def test_higher_volatility_mean(self, params, cm):
-        assert cm.iota_hat[1] > params.iota[1]
+        assert cm.iota[1] > params.iota[1]
 
     def test_lower_growth_mean(self, cm):
-        assert cm.iota_hat[0] < 0.0
+        assert cm.iota[0] < 0.0
 
     def test_formulas(self, params, pf, cm):
         s1 = np.asarray(params.sigma_1)
@@ -160,7 +160,15 @@ class TestChangedMeasure:
         assert cm.mu_11 == params.mu_11
         assert cm.mu_12 == pytest.approx(params.mu_12 + float(s1 @ pf.alpha_h))
         assert cm.mu_22 == pytest.approx(params.mu_22 + float(s2 @ pf.alpha_h))
-        assert cm.iota_hat[1] == pytest.approx(params.mu_22 / cm.mu_22 * params.iota[1])
+        assert cm.iota[1] == pytest.approx(params.mu_22 / cm.mu_22 * params.iota[1])
+
+    def test_measure_changes_are_state_dynamics_with_the_same_volatilities(
+        self, params, sdf, cm
+    ):
+        for shifted in (cm, lrr.risk_neutral_dynamics(params, sdf)):
+            assert isinstance(shifted, lrr.StateDynamics)
+            np.testing.assert_array_equal(shifted.sigma_1, params.sigma_1)
+            np.testing.assert_array_equal(shifted.sigma_2, params.sigma_2)
 
     def test_mu22_hat_is_minus_root_discriminant(self, params, sdf, pf, cm):
         # mu_22_hat = qb + 2 qa e2 = -sqrt(D) at the minus root, so ergodicity
@@ -181,15 +189,16 @@ class TestChangedMeasure:
 
     def test_simulated_volatility_mean_under_new_measure(self, params, cm):
         x1, x2 = lrr.simulate_states(
-            cm.dynamics(params), horizon=600.0, dt=MC_DT, n_paths=50_000, seed=3
+            cm, horizon=600.0, dt=MC_DT, n_paths=50_000, seed=3
         )
         se = np.std(x2, ddof=1) / np.sqrt(len(x2))
-        assert abs(np.mean(x2) - cm.iota_hat[1]) <= 3.0 * se
+        assert abs(np.mean(x2) - cm.iota[1]) <= 3.0 * se
 
 
 class TestAffineExpectation:
     def test_horizon_zero_is_one(self, params, sdf):
-        assert lrr.affine_expectation(sdf, params.dynamics(), 0.0, params.iota) == 1.0
+        ode = lrr.solve_affine_ode(sdf, params.dynamics(), 0.0)
+        assert ode.expectation(0.0, params.iota) == 1.0
 
     def test_consumption_claim_priced_in_closed_form(self, params, value, sdf):
         # with unit elasticity, S C = exp(-delta t) x martingale
@@ -323,7 +332,7 @@ class TestExponentPropagator:
         return [
             (lrr.add_functionals(sdf, g), dyn_p),
             (g, dyn_p),
-            (g_hat, cm.dynamics(params)),
+            (g_hat, cm),
             (lrr.add_functionals(sdf, lrr.unit_functional()), dyn_p),
         ]
 
@@ -342,7 +351,7 @@ class TestExponentPropagator:
     )
     def test_drawn_functionals_match_rk45(self, params, cm, b0, b1, b2, alpha, recovered):
         f = lrr.AffineFunctional(b0=b0, b1=b1, b2=b2, alpha=np.array(alpha))
-        dyn = cm.dynamics(params) if recovered else params.dynamics()
+        dyn = cm if recovered else params.dynamics()
         want, t_explode = solve_ivp_exponents(f, dyn, HORIZONS)
         if want is None:
             # w reaches 0 just after theta2 passes 1e8 (theta2 ~ 1 / (R (T - t)))
@@ -379,9 +388,9 @@ class TestMeasureTransforms:
         direct = lrr.solve_affine_ode(sg, params.dynamics(), 240.0)
 
         g_hat = lrr.change_functional_measure(g, params, pf.alpha_h, cm)
-        s_hat = lrr.recovered_sdf_functional(params, pf, cm)
+        s_hat = lrr.recovered_sdf_functional(pf, cm)
         via_hat = lrr.solve_affine_ode(
-            lrr.add_functionals(s_hat, g_hat), cm.dynamics(params), 240.0
+            lrr.add_functionals(s_hat, g_hat), cm, 240.0
         )
         x = np.array([0.005, 0.9])
         for t in (1.0, 24.0, 240.0):
@@ -433,7 +442,7 @@ class TestMeasureTransforms:
         # diagnostic: the two risk-adjusted measures nearly coincide here
         rn = lrr.risk_neutral_dynamics(params, sdf)
         assert rn.mu_22 == pytest.approx(cm.mu_22, rel=0.05)
-        assert rn.iota_hat[1] == pytest.approx(cm.iota_hat[1], rel=0.05)
+        assert rn.iota[1] == pytest.approx(cm.iota[1], rel=0.05)
 
 
 class TestSimulatorChunking:
@@ -564,7 +573,7 @@ class TestStationaryDensity:
 
     def test_adverse_states_correlate_under_recovered_measure(self, params, cm):
         d = lrr.stationary_density(
-            cm.dynamics(params), n_paths=50_000, burn_in=600.0, seed=8, dt=MC_DT
+            cm, n_paths=50_000, burn_in=600.0, seed=8, dt=MC_DT
         )
         corr = d.cov[0, 1] / np.sqrt(d.cov[0, 0] * d.cov[1, 1])
         assert corr < -0.05
@@ -576,8 +585,8 @@ class TestStationaryDensity:
 def all_dynamics(params, sdf, cm):
     return {
         "p": params.dynamics(),
-        "p_hat": cm.dynamics(params),
-        "risk_neutral": lrr.risk_neutral_dynamics(params, sdf).dynamics(params),
+        "p_hat": cm,
+        "risk_neutral": lrr.risk_neutral_dynamics(params, sdf),
     }
 
 
@@ -758,11 +767,11 @@ class TestYieldCurves:
         flat = lrr.AffineFunctional(b0=-0.004, b1=0.0, b2=0.0, alpha=np.zeros(3))
         pf0 = lrr.solve_pf(params, flat)
         cm0 = lrr.changed_measure(params, pf0)
-        np.testing.assert_allclose(cm0.iota_hat, params.iota, atol=1e-15)
+        np.testing.assert_allclose(cm0.iota, params.iota, atol=1e-15)
         g = lrr.consumption_functional(params)
         g_hat = lrr.change_functional_measure(g, params, pf0.alpha_h, cm0)
         num_p = lrr.solve_affine_ode(g, params.dynamics(), 240.0)
-        num_hat = lrr.solve_affine_ode(g_hat, cm0.dynamics(params), 240.0)
+        num_hat = lrr.solve_affine_ode(g_hat, cm0, 240.0)
         price = lrr.solve_affine_ode(
             lrr.add_functionals(flat, g), params.dynamics(), 240.0
         )
@@ -779,7 +788,7 @@ class TestParamsInterface:
         assert rebuilt == params
 
     def test_packaged_defaults_load(self):
-        assert lrr.load_default_params() == lrr.default_params()
+        assert lrr.load_default_params() == lrr.LrrParams()
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown parameter"):

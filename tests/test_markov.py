@@ -205,25 +205,25 @@ class TestRiskNeutralAndForward:
 
     def test_forward_horizon_one_is_risk_neutral(self, power_economy):
         rn, _ = mk.risk_neutral(power_economy.prices)
-        fw = mk.forward_measure(power_economy.prices, 1)
+        fw = mk.forward_measures(power_economy.prices, [1])[1]
         np.testing.assert_allclose(fw.entries, rn.entries, atol=1e-15)
 
     def test_forward_measures_horizon_dependent(self, power_economy):
         # state-dependent bond prices: P_bar_2 != (P_bar_1)^2
-        p1 = mk.forward_measure(power_economy.prices, 1).entries
-        p2 = mk.forward_measure(power_economy.prices, 2).entries
+        p1 = mk.forward_measures(power_economy.prices, [1])[1].entries
+        p2 = mk.forward_measures(power_economy.prices, [2])[2].entries
         assert np.max(np.abs(p2 - p1 @ p1)) > 1e-8
 
     def test_constant_bond_price_forward_compounds(self):
         # constant-row-sum prices: e_hat constant, forward measures compound
         q = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]) * 0.97
         prices = mk.PricingMatrix(q)
-        p1 = mk.forward_measure(prices, 1).entries
-        p5 = mk.forward_measure(prices, 5).entries
+        p1 = mk.forward_measures(prices, [1])[1].entries
+        p5 = mk.forward_measures(prices, [5])[5].entries
         np.testing.assert_allclose(p5, np.linalg.matrix_power(p1, 5), atol=1e-12)
 
     def test_forward_measure_no_overflow_long_horizon(self, power_economy):
-        fw = mk.forward_measure(power_economy.prices, 5000)
+        fw = mk.forward_measures(power_economy.prices, [5000])[5000]
         assert np.all(np.isfinite(fw.entries))
 
     def test_one_product_chain_matches_per_horizon_powers(self):
@@ -237,7 +237,7 @@ class TestRiskNeutralAndForward:
                 m = m @ q
                 m /= np.max(m, axis=1, keepdims=True)
             assert np.array_equal(measure.entries, m / m.sum(axis=1, keepdims=True))
-            assert np.array_equal(measure.entries, mk.forward_measure(prices, t).entries)
+            assert np.array_equal(measure.entries, mk.forward_measures(prices, [t])[t].entries)
 
 
 class TestPerronFrobenius:
