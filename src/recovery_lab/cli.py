@@ -214,8 +214,9 @@ def run_yields(args) -> int:
     else:
         cash_flow = np.ones(source.n)
     horizons = _parse_horizons(args.horizons)
-    under_p = markov.yield_curve(source, cash_flow, horizons, measure="P")
-    under_hat = markov.yield_curve(source, cash_flow, horizons, measure="P_hat")
+    under_p = markov.yield_curve(source, cash_flow, horizons, source.transition)
+    recovered = markov.recover(source)
+    under_hat = markov.yield_curve(source, cash_flow, horizons, recovered.p_hat)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t, i = np.meshgrid(horizons, np.arange(source.n), indexing="ij")
@@ -248,7 +249,7 @@ def run_lrr(args) -> int:
             f"note: {', '.join(ignored)} ignored; the stationary laws are computed exactly",
             file=sys.stderr,
         )
-    bins = int(overrides.pop("bins", 100))
+    bins = _count_override(overrides, "bins", 100, 1)
     if overrides:
         params = lrr_mod.apply_overrides(params, overrides)
 
@@ -277,7 +278,7 @@ def run_lrr(args) -> int:
     horizons = _parse_horizons(args.horizons)
     for flow in ("consumption", "bond"):
         yc = lrr_mod.yield_curves(
-            params, horizons, cash_flow=flow, laws=(laws["p"], laws["p_hat"])
+            params, sdf, pf, (laws["p"], laws["p_hat"]), horizons, cash_flow=flow
         )
         _write_csv(
             out / f"yields_{flow}.csv",

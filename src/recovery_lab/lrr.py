@@ -1295,7 +1295,6 @@ class YieldCurves:
     horizons: NDArray[np.float64]
     quartiles_p: NDArray[np.float64]
     quartiles_p_hat: NDArray[np.float64]
-    eta_hat: float
 
 
 def _exponents(
@@ -1309,12 +1308,15 @@ def _exponents(
     return _exponent_path(f, dynamics, float(horizons[-1]))(horizons).T
 
 
-def _yield_laws(params: LrrParams, horizons: NDArray[np.float64], cash_flow: str):
+def _yield_laws(
+    params: LrrParams,
+    sdf: AffineFunctional,
+    pf: PfSolution,
+    horizons: NDArray[np.float64],
+    cash_flow: str,
+):
     """Per measure (P, then P-hat): its dynamics and the horizon-t yield as
     (c0 + c1 x1 + c2 x2) / t, as intercepts c0 and loadings (c1, c2)."""
-    value = solve_value_function(params)
-    sdf = sdf_coefficients(params, value)
-    pf = solve_pf(params, sdf)
     dyn_p, dyn_hat = params.dynamics(), changed_measure(params, pf)
     g = consumption_functional(params) if cash_flow == "consumption" else unit_functional()
     g_hat = change_functional_measure(g, params, pf.alpha_h, dyn_hat)
@@ -1323,7 +1325,7 @@ def _yield_laws(params: LrrParams, horizons: NDArray[np.float64], cash_flow: str
     for forecast, dyn in ((g, dyn_p), (g_hat, dyn_hat)):
         th = _exponents(forecast, dyn, horizons) - price
         out.append((dyn, th[:, 0], th[:, 1:]))
-    return pf, out
+    return out
 
 
 def _same_dynamics(a: StateDynamics, b: StateDynamics) -> bool:
@@ -1334,9 +1336,11 @@ def _same_dynamics(a: StateDynamics, b: StateDynamics) -> bool:
 
 def yield_curves(
     params: LrrParams,
+    sdf: AffineFunctional,
+    pf: PfSolution,
+    laws: Sequence[StationaryLaw],
     horizons: Sequence[float],
     cash_flow: str = "consumption",
-    laws: Optional[Sequence[StationaryLaw]] = None,
 ) -> YieldCurves:
     """Yield curves on a growing or riskless cash flow under P and P-hat.
 
@@ -1345,18 +1349,17 @@ def yield_curves(
     same under both measures; the forecast in the numerator uses the measure
     attached to each curve.  Both are affine in x, so each quartile over
     that measure's stationary law is exact (``StationaryLaw.quantiles``);
-    nothing is simulated.  ``laws`` may pass the stationary laws (P, P-hat)
-    of these parameters, already built for their densities, so that their
-    transform tables are built once.
+    nothing is simulated.  ``sdf`` and ``pf`` are the parameters' discount
+    factor and eigenpair (``sdf_coefficients``, ``solve_pf``), and ``laws``
+    the stationary laws (P, P-hat) of these parameters; laws of other
+    dynamics raise ValueError.
     """
     if cash_flow not in ("consumption", "bond"):
         raise ValueError("cash_flow must be 'consumption' or 'bond'")
     horizons = np.asarray(sorted(horizons), dtype=float)
     if np.any(horizons <= 0):
         raise ValueError("horizons must be positive")
-    pf, per_measure = _yield_laws(params, horizons, cash_flow)
-    if laws is None:
-        laws = [StationaryLaw(dyn) for dyn, _, _ in per_measure]
+    per_measure = _yield_laws(params, sdf, pf, horizons, cash_flow)
     quartiles = []
     for law, (dyn, intercept, loadings) in zip(laws, per_measure):
         if not _same_dynamics(law.dynamics, dyn):
@@ -1367,7 +1370,6 @@ def yield_curves(
         horizons=horizons,
         quartiles_p=quartiles[0],
         quartiles_p_hat=quartiles[1],
-        eta_hat=pf.eta_hat,
     )
 
 

@@ -182,9 +182,6 @@ class PricingMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def bond_prices(self) -> NDArray[np.float64]:
-        return self.entries.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class MarkovPricingEconomy:
@@ -544,15 +541,13 @@ def recover(source: Union[MarkovPricingEconomy, PricingMatrix]) -> RecoveredMeas
 
 
 def sdf_decomposition(
-    economy: MarkovPricingEconomy,
-    path: Sequence[int],
-    recovered: Optional[RecoveredMeasure] = None,
+    economy: MarkovPricingEconomy, path: Sequence[int], recovered: RecoveredMeasure
 ) -> DecompositionFactors:
     """Split the discount factor compounded along a state path into factors.
 
     Returns (trend, eigen_ratio, martingale) whose product equals the product
     of s_ij along the path: exp(eta_hat * t), e_hat(x_0)/e_hat(x_t), and the
-    accumulated martingale increments.
+    accumulated martingale increments of ``recovered``, the economy's recovery.
     """
     states = list(path)
     if len(states) < 2:
@@ -561,8 +556,6 @@ def sdf_decomposition(
     for a, b in zip(states[:-1], states[1:]):
         if q[a, b] == 0.0:
             raise ValueError(f"path step {a}->{b} has zero Arrow price")
-    if recovered is None:
-        recovered = recover(economy)
     t = len(states) - 1
     e = recovered.e_hat
     h = recovered.h_increments
@@ -593,6 +586,26 @@ def holding_period_return_limit(
     return recover(source).r_inf
 
 
+def _iterates(m: NDArray[np.float64], v: NDArray[np.float64], sorted_horizons: Iterable[int]):
+    """M^t v at each of the sorted horizons t, as (M^t v / max, log of that max).
+
+    The product chain is run once and rescaled to max 1 at every step,
+    with the log scale accumulated, so that long horizons cannot overflow.
+    """
+    log_scale = 0.0
+    done = 0
+    out = []
+    for t in sorted_horizons:
+        for _ in range(t - done):
+            v = m @ v
+            top = np.max(v)
+            v /= top
+            log_scale += np.log(top)
+        done = t
+        out.append((v, log_scale))
+    return out
+
+
 def forward_one_period_limit(
     source: Union[MarkovPricingEconomy, PricingMatrix], tau: int
 ) -> NDArray[np.float64]:
@@ -607,18 +620,7 @@ def forward_one_period_limit(
         raise ValueError("tau must be at least 2")
     prices = source.prices if isinstance(source, MarkovPricingEconomy) else source
     q = prices.entries
-    b = np.ones(q.shape[0])
-    log_scale = 0.0
-    for _ in range(tau - 1):
-        b = q @ b
-        top = np.max(b)
-        b /= top
-        log_scale += np.log(top)
-    b_prev, scale_prev = b, log_scale
-    b = q @ b
-    top = np.max(b)
-    b /= top
-    scale_now = log_scale + np.log(top)
+    (b_prev, scale_prev), (b, scale_now) = _iterates(q, np.ones(q.shape[0]), [tau - 1, tau])
     ratio = np.exp(scale_prev - scale_now)
     return q * (b_prev[None, :] / b[:, None]) * ratio
 
@@ -628,27 +630,26 @@ def _compounding_matrix(
     cash_flow,
 ) -> tuple[NDArray[np.float64], Optional[NDArray[np.float64]]]:
     """Map a cash-flow spec onto (payoff vector, growth increment matrix)."""
+    n = economy.n
     if isinstance(cash_flow, GaussianAugmentedFunctional):
-        return np.ones(economy.n), conditional_increment_matrix(
-            cash_flow, economy.transition
-        )
+        return np.ones(n), conditional_increment_matrix(cash_flow, economy.transition)
     arr = np.asarray(cash_flow, dtype=float)
-    if arr.ndim == 1:
-        if np.any(arr <= 0):
-            raise ValueError("payoff vector must be strictly positive")
-        return arr, None
-    if arr.ndim == 2:
-        if np.any(arr <= 0):
-            raise ValueError("growth increment matrix must be strictly positive")
-        return np.ones(economy.n), arr
-    raise ValueError("cash_flow must be a vector, a matrix, or a functional")
+    if arr.shape not in ((n,), (n, n)):
+        raise ValueError(
+            f"cash_flow must be a payoff vector of shape ({n},), a growth increment "
+            f"matrix of shape ({n}, {n}) or a functional; got shape {arr.shape}"
+        )
+    if np.any(arr <= 0):
+        kind = "payoff vector" if arr.ndim == 1 else "growth increment matrix"
+        raise ValueError(f"{kind} must be strictly positive")
+    return (arr, None) if arr.ndim == 1 else (np.ones(n), arr)
 
 
 def yield_curve(
     economy: MarkovPricingEconomy,
     cash_flow,
     horizons: Iterable[int],
-    measure: str = "P",
+    forecast: StochasticMatrix,
 ) -> NDArray[np.float64]:
     """Per-horizon, per-state yields on a stationary or growing cash flow.
 
@@ -656,26 +657,24 @@ def yield_curve(
 
         y_t(x) = (1/t) [ log E_m(payoff_t | x) - log E(S_t payoff_t | x) ]
 
-    where E_m runs under the physical measure (``measure="P"``) or under the
-    recovered measure (``measure="P_hat"``).  ``cash_flow`` is a positive
-    payoff vector psi (claim psi(X_t)), an n x n matrix of conditional growth
-    increments E[G_{t+1}/G_t | i, j], or a GaussianAugmentedFunctional which
-    is reduced to such a matrix.  Prices are the same under both measures;
-    only the forecasting measure of the numerator changes.
+    where E_m runs under ``forecast``: the physical ``economy.transition`` or
+    the recovered ``p_hat`` of the economy's recovery.  ``cash_flow`` is a
+    positive payoff vector psi (claim psi(X_t)), an n x n matrix of
+    conditional growth increments E[G_{t+1}/G_t | i, j], or a
+    GaussianAugmentedFunctional which is reduced to such a matrix.  Prices are
+    the same under both measures; only the forecasting measure of the
+    numerator changes.
 
     Returns an array of shape (len(horizons), n).
     """
     horizons = list(horizons)
     if any(t < 1 for t in horizons):
         raise ValueError("horizons must be positive integers")
+    if forecast.n != economy.n:
+        raise ValueError(f"forecast measure has {forecast.n} states, the economy {economy.n}")
     psi, growth = _compounding_matrix(economy, cash_flow)
     q = economy.prices.entries
-    if measure == "P":
-        m = economy.transition.entries
-    elif measure == "P_hat":
-        m = recover(economy).p_hat.entries
-    else:
-        raise ValueError(f"unknown measure {measure!r}; use 'P' or 'P_hat'")
+    m = forecast.entries
     if growth is not None:
         # Martingale increments of the recovery are chain-measurable, so the
         # conditional growth increments are identical under both measures.
@@ -683,38 +682,29 @@ def yield_curve(
         q_grown = q * growth
         _require_primitive(q_grown, q, "growth-compounded pricing matrix")
         q = q_grown
-    out = np.empty((len(horizons), economy.n))
+    # log psi enters the forecast and the price alike and cancels
     order = np.argsort(horizons)
-    log_num = np.log(psi).copy()
-    num = psi.copy()
-    log_den = np.log(psi).copy()
-    den = psi.copy()
-    t_done = 0
-    for idx in order:
-        t = horizons[idx]
-        while t_done < t:
-            num = m @ num
-            den = q @ den
-            s_n, s_d = np.max(num), np.max(den)
-            log_num += np.log(s_n)
-            log_den += np.log(s_d)
-            num /= s_n
-            den /= s_d
-            t_done += 1
-        out[idx] = ((log_num + np.log(num)) - (log_den + np.log(den))) / t
+    sorted_horizons = [horizons[k] for k in order]
+    out = np.empty((len(horizons), economy.n))
+    for k, (num, s_n), (den, s_d) in zip(
+        order, _iterates(m, psi, sorted_horizons), _iterates(q, psi, sorted_horizons)
+    ):
+        out[k] = ((s_n + np.log(num)) - (s_d + np.log(den))) / horizons[k]
     return out
 
 
-def log_return_bound_check(economy: MarkovPricingEconomy) -> LogReturnBound:
+def log_return_bound_check(
+    economy: MarkovPricingEconomy, recovered: RecoveredMeasure
+) -> LogReturnBound:
     """Both sides of E[log R_inf | x] <= E[log S_t - log S_{t+1} | x].
 
     On a finite chain both conditional expectations are exact finite sums
-    over the positive-probability transitions; R_inf comes from one recovery
-    of the economy.
+    over the positive-probability transitions; R_inf is ``recovered.r_inf``,
+    read from the economy's recovery.
     """
     p = economy.transition.entries
     s = economy.sdf.entries
-    r_inf = holding_period_return_limit(economy)
+    r_inf = recovered.r_inf
     live = p > 0
     lhs = np.sum(np.where(live, p * np.log(np.where(live, r_inf, 1.0)), 0.0), axis=1)
     rhs = np.sum(np.where(live, -p * np.log(np.where(live, s, 1.0)), 0.0), axis=1)
@@ -1077,16 +1067,15 @@ def stationary_distribution(transition: StochasticMatrix) -> NDArray[np.float64]
 
 
 def h0_stationary(
-    economy: MarkovPricingEconomy, recovered: Optional[RecoveredMeasure] = None
+    economy: MarkovPricingEconomy, recovered: RecoveredMeasure
 ) -> NDArray[np.float64]:
     """Initial martingale level making the chain stationary under the new measure.
 
     With pi the stationary law under the original transition matrix and
-    pi_hat under the recovered one, the initializer h0(x_i) = pi_hat_i / pi_i
-    has unit mean under pi and shifts the time-0 distribution to pi_hat.
+    pi_hat under the recovered one (``recovered.p_hat``), the initializer
+    h0(x_i) = pi_hat_i / pi_i has unit mean under pi and shifts the time-0
+    distribution to pi_hat.
     """
-    if recovered is None:
-        recovered = recover(economy)
     pi = stationary_distribution(economy.transition)
     pi_hat = stationary_distribution(recovered.p_hat)
     return pi_hat / pi

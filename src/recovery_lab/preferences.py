@@ -43,6 +43,8 @@ __all__ = [
     "spec_to_dict",
 ]
 
+_MAX_NEWTON = 50
+
 
 def _validate_consumption(c) -> NDArray[np.float64]:
     arr = np.atleast_1d(np.asarray(c, dtype=float))
@@ -136,29 +138,27 @@ def _recursion_rhs(
 
 
 def solve_continuation_value(
-    spec: RecursiveUtilitySpec,
-    transition: StochasticMatrix,
-    max_iter: int = 50,
+    spec: RecursiveUtilitySpec, transition: StochasticMatrix
 ) -> ValueFunction:
     """Detrended continuation values v = F(v); one linear solve at gamma = 1.
 
     Otherwise Newton steps (I - dF/dv) dv = v - F(v) from v = log c stop once
     the sup-norm residual is at most 4 eps max(1, |v|), the round-off floor of
-    F; more than ``max_iter`` steps raise ConvergenceError."""
+    F; more than ``_MAX_NEWTON`` steps raise ConvergenceError."""
     p = transition.entries
     if spec.gamma == 1.0:
         base, jac = _recursion_rhs(np.zeros(transition.n), spec, p)
         v = np.linalg.solve(np.eye(transition.n) - jac, base)
     else:
         v = np.log(spec.c)
-        for _ in range(max_iter):
+        for _ in range(_MAX_NEWTON):
             rhs, jac = _recursion_rhs(v, spec, p)
             if np.max(np.abs(v - rhs)) <= 4.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(v))):
                 break
             v = v - np.linalg.solve(np.eye(transition.n) - jac, v - rhs)
         else:
             gap = np.max(np.abs(v - _recursion_rhs(v, spec, p)[0]))
-            raise ConvergenceError(f"{max_iter} Newton steps left residual {gap:.3e}")
+            raise ConvergenceError(f"{_MAX_NEWTON} Newton steps left residual {gap:.3e}")
     residual = float(np.max(np.abs(v - _recursion_rhs(v, spec, p)[0])))
     return ValueFunction(v=v, log_v_star=(1.0 - spec.gamma) * v, residual=residual)
 

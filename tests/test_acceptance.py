@@ -247,10 +247,11 @@ def test_c06_lrr_pipeline(lrr_bundle, affine_gate, stationary_ensembles):
 
 
 def test_c07_lrr_yields(lrr_bundle, affine_gate):
-    params, _, _, pf, _ = lrr_bundle
+    params, _, sdf, pf, cm = lrr_bundle
     horizons = list(range(12, 1201, 12))
+    laws = (lrr.StationaryLaw(params.dynamics()), lrr.StationaryLaw(cm))
     curves = {
-        flow: lrr.yield_curves(params, horizons, cash_flow=flow)
+        flow: lrr.yield_curves(params, sdf, pf, laws, horizons, cash_flow=flow)
         for flow in ("consumption", "bond")
     }
     target = -pf.eta_hat * lrr.MONTHS_PER_YEAR
@@ -282,7 +283,7 @@ def test_exact_stationary_laws_match_ensembles(lrr_bundle, affine_gate, stationa
     # 6's ensembles: bin masses above 1e-4 (binomial z-scores) and the yield
     # quartiles of both flows at all 100 horizons (order-statistic standard
     # errors, with the density at the quartile taken from the exact law)
-    params, _, _, _, cm = lrr_bundle
+    params, _, sdf, pf, cm = lrr_bundle
     draws, _ = stationary_ensembles
     n = ENSEMBLE_PATHS
     laws = {
@@ -304,8 +305,8 @@ def test_exact_stationary_laws_match_ensembles(lrr_bundle, affine_gate, stationa
     side = np.array([-0.005, 0.005])
     horizons = np.arange(12.0, 1201.0, 12.0)
     for flow in ("consumption", "bond"):
-        curves = lrr.yield_curves(params, horizons, flow, laws=(laws["p"], laws["p_hat"]))
-        _, per_measure = lrr._yield_laws(params, horizons, flow)
+        curves = lrr.yield_curves(params, sdf, pf, (laws["p"], laws["p_hat"]), horizons, flow)
+        per_measure = lrr._yield_laws(params, sdf, pf, horizons, flow)
         for name, exact, (_, intercept, loadings) in zip(
             ("p", "p_hat"), (curves.quartiles_p, curves.quartiles_p_hat), per_measure
         ):
@@ -363,7 +364,7 @@ def test_c10_jensen_bound_property():
     worst = np.inf
     for _ in range(100):
         eco = random_economy(rng)
-        b = mk.log_return_bound_check(eco)
+        b = mk.log_return_bound_check(eco, mk.recover(eco))
         worst = min(worst, float(np.min(b.slack)))
     ok = worst >= -1e-12
     report(10, ok, f"long-bond log-return bound over 100 random economies: "

@@ -280,6 +280,29 @@ class TestForwardAndYields:
         assert header == ["horizon", "state", "yield_p", "yield_p_hat"]
         assert rows.shape == (6, 4)  # 3 horizons x 2 states
 
+    def test_yields_one_eigensolve(self, tmp_path, recursive_economy_file, monkeypatch):
+        calls = count_calls(monkeypatch, mk, "perron_frobenius")
+        assert cli.main(
+            ["yields", "--input", str(recursive_economy_file), "--out", str(tmp_path)]
+        ) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("payoff", [1.0, 2.0, 3.0]), ("growth", [[1.0, 1.1], [0.9, 1.0], [1.2, 1.0]]),
+         ("payoff", np.ones((2, 2, 2)).tolist())],
+    )
+    def test_yields_cash_flow_of_wrong_shape_names_the_expected_one(
+        self, tmp_path, recursive_economy, field, value, capsys
+    ):
+        # used to exit 1 with numpy's matmul or broadcasting message (or, for
+        # three axes, without naming the shape)
+        path = tmp_path / "eco.json"
+        path.write_text(json.dumps({**mk.economy_to_dict(recursive_economy), field: value}))
+        assert cli.main(["yields", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "shape (2,)" in err and "shape (2, 2)" in err
+
 
 class TestLrr:
     def test_default_run_produces_all_files(self, tmp_path):
@@ -363,6 +386,25 @@ class TestLrr:
         for f in ("density_p.csv", "density_p_hat.csv", "density_risk_neutral.csv",
                   "yields_consumption.csv", "yields_bond.csv", "lrr_summary.json"):
             assert (tmp_path / "4" / f).read_bytes() == (tmp_path / "5" / f).read_bytes()
+
+    def test_one_solve_per_run(self, tmp_path, monkeypatch):
+        # yield_curves takes the value function, SDF and eigenpair of the run
+        calls = [
+            count_calls(monkeypatch, lrr_mod, name)
+            for name in ("solve_value_function", "sdf_coefficients", "solve_pf")
+        ]
+        assert cli.main(["lrr", "--out", str(tmp_path)]) == 0
+        assert [len(c) for c in calls] == [1, 1, 1]
+
+    @pytest.mark.parametrize("value", ["0", "2.5", "abc"])
+    def test_invalid_bins_is_an_input_error(self, tmp_path, value, capsys):
+        # bins = 0 used to exit 0 with empty densities, 2.5 became 2 and abc
+        # failed in int()
+        argv = ["lrr", "--out", str(tmp_path), "--override", f"bins={value}",
+                "--horizons", "12:24:12"]
+        assert cli.main(argv) == 1
+        assert "bins must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "lrr_summary.json").exists()
 
     def test_degenerate_volatility_factor_exit_two(self, tmp_path):
         # X2 without shocks has a point-mass stationary law: no density

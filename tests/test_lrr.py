@@ -676,7 +676,7 @@ class TestStationaryLaw:
         assert np.all(np.abs(np.array([m1, m2]) - mean_exact) <= 1e-7 * sd)
         assert np.max(np.abs(cov - cov_exact) / np.outer(sd, sd)) <= 1e-6
 
-    def test_self_convergence(self, params, all_dynamics, laws, monkeypatch):
+    def test_self_convergence(self, params, sdf, pf, all_dynamics, laws, monkeypatch):
         # halving the propagator step and doubling the cosine terms moves the
         # bin masses and the yield quartiles by at most 1e-10
         monkeypatch.setattr(lrr, "_COS_TERMS", 2 * lrr._COS_TERMS)
@@ -689,7 +689,7 @@ class TestStationaryLaw:
         horizons = np.arange(12.0, 1201.0, 12.0)
         probs = [0.25, 0.5, 0.75]
         for flow in ("consumption", "bond"):
-            _, per_measure = lrr._yield_laws(params, horizons, flow)
+            per_measure = lrr._yield_laws(params, sdf, pf, horizons, flow)
             for name, (_, _, loadings) in zip(("p", "p_hat"), per_measure):
                 base = laws[name].quantiles(loadings, probs)
                 refined = fine[name].quantiles(loadings, probs)
@@ -730,21 +730,16 @@ class TestStationaryLaw:
             with pytest.raises(ModelValidityError, match="degenerate"):
                 lrr.StationaryLaw(dyn)
 
-    def test_yield_curves_reuse_passed_laws(self, params, laws):
-        horizons = [12, 600]
-        own = lrr.yield_curves(params, horizons, "bond")
-        shared = lrr.yield_curves(params, horizons, "bond", laws=(laws["p"], laws["p_hat"]))
-        np.testing.assert_array_equal(own.quartiles_p, shared.quartiles_p)
-        np.testing.assert_array_equal(own.quartiles_p_hat, shared.quartiles_p_hat)
+    def test_yield_curves_reject_swapped_laws(self, params, sdf, pf, laws):
         with pytest.raises(ValueError, match="not those"):
-            lrr.yield_curves(params, horizons, "bond", laws=(laws["p_hat"], laws["p"]))
+            lrr.yield_curves(params, sdf, pf, (laws["p_hat"], laws["p"]), [12, 600], "bond")
 
 
 @pytest.fixture(scope="module")
-def curves(params):
+def curves(params, sdf, pf, laws):
     horizons = [12, 120, 360, 1200]
     return {
-        flow: lrr.yield_curves(params, horizons, cash_flow=flow)
+        flow: lrr.yield_curves(params, sdf, pf, (laws["p"], laws["p_hat"]), horizons, flow)
         for flow in ("consumption", "bond")
     }
 

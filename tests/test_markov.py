@@ -494,7 +494,7 @@ class TestRecover:
         np.testing.assert_allclose(
             (rec.h_increments * p.entries).sum(axis=1), 1.0, atol=1e-12
         )
-        b = mk.log_return_bound_check(eco)
+        b = mk.log_return_bound_check(eco, rec)
         assert np.all(b.slack >= -1e-12)
 
     def test_underflow_that_breaks_the_pattern_is_caught(self):
@@ -547,30 +547,31 @@ class TestRecover:
 class TestSdfDecomposition:
     def test_unit_sdf_all_factors_one(self, two_state_transition):
         eco = mk.build_economy(two_state_transition, mk.SdfMatrix(np.ones((2, 2))))
-        d = mk.sdf_decomposition(eco, [0, 1, 0, 0])
+        d = mk.sdf_decomposition(eco, [0, 1, 0, 0], mk.recover(eco))
         assert d.trend == pytest.approx(1.0, abs=1e-12)
         assert d.eigen_ratio == pytest.approx(1.0, abs=1e-11)
         assert d.martingale == pytest.approx(1.0, abs=1e-11)
 
     def test_path_product_matches_accumulated_sdf(self, recursive_economy):
         path = [0, 1, 1, 0]
-        d = mk.sdf_decomposition(recursive_economy, path)
+        d = mk.sdf_decomposition(recursive_economy, path, mk.recover(recursive_economy))
         s = recursive_economy.sdf.entries
         direct = np.prod([s[a, b] for a, b in zip(path[:-1], path[1:])])
         assert d.product == pytest.approx(direct, rel=1e-10)
 
     def test_power_utility_martingale_factor_is_one(self, power_economy):
         rng = np.random.default_rng(0)
+        rec = mk.recover(power_economy)
         for _ in range(10):
             path = rng.integers(0, 2, size=6).tolist()
-            d = mk.sdf_decomposition(power_economy, path)
+            d = mk.sdf_decomposition(power_economy, path, rec)
             assert d.martingale == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_price_step_rejected(self):
         p = mk.StochasticMatrix([[0.6, 0.4, 0.0], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
         eco = mk.build_economy(p, mk.SdfMatrix(np.full((3, 3), 0.95)))
         with pytest.raises(ValueError, match="zero Arrow price"):
-            mk.sdf_decomposition(eco, [0, 2])
+            mk.sdf_decomposition(eco, [0, 2], mk.recover(eco))
 
 
 class TestLongMaturityLimits:
@@ -643,7 +644,7 @@ class TestLongMaturityLimits:
 class TestYieldCurve:
     def test_unit_sdf_unit_payoff_zero_yields(self, two_state_transition):
         eco = mk.build_economy(two_state_transition, mk.SdfMatrix(np.ones((2, 2))))
-        y = mk.yield_curve(eco, np.ones(2), [1, 5, 20], measure="P")
+        y = mk.yield_curve(eco, np.ones(2), [1, 5, 20], eco.transition)
         np.testing.assert_allclose(y, 0.0, atol=1e-13)
 
     def test_stationary_payoff_limit_is_minus_eta(self):
@@ -653,8 +654,8 @@ class TestYieldCurve:
         s = np.exp(-0.02) * (1.0 + 1e-4 * rng.uniform(-1, 1, size=(3, 3)))
         eco = mk.build_economy(p, mk.SdfMatrix(s))
         rec = mk.recover(eco)
-        for measure in ("P", "P_hat"):
-            y = mk.yield_curve(eco, np.ones(3), [500], measure=measure)
+        for forecast in (eco.transition, rec.p_hat):
+            y = mk.yield_curve(eco, np.ones(3), [500], forecast)
             np.testing.assert_allclose(y[0], -rec.eta_hat, atol=1e-6)
 
     def test_growing_cash_flow_limits(self):
@@ -665,7 +666,7 @@ class TestYieldCurve:
         rec = mk.recover(eco)
         g = np.exp(rng.normal(0.01, 0.05, size=(4, 4)))
         t = 4000
-        y_hat = mk.yield_curve(eco, g, [t], measure="P_hat")[0]
+        y_hat = mk.yield_curve(eco, g, [t], rec.p_hat)[0]
         np.testing.assert_allclose(y_hat, -rec.eta_hat, atol=1e-3)
 
         def growth_rate(m):
@@ -674,7 +675,7 @@ class TestYieldCurve:
 
         eta_g = growth_rate(eco.transition.entries * g)
         eta_sg = growth_rate(eco.prices.entries * g)
-        y_p = mk.yield_curve(eco, g, [t], measure="P")[0]
+        y_p = mk.yield_curve(eco, g, [t], eco.transition)[0]
         np.testing.assert_allclose(y_p, eta_g - eta_sg, atol=1e-3)
 
     def test_brute_force_path_enumeration_oracle(self):
@@ -684,10 +685,10 @@ class TestYieldCurve:
         g = np.exp(rng.normal(0.02, 0.1, size=(2, 2)))
         psi = np.ones(2)
         t = 3
-        p, q = eco.transition.entries, eco.prices.entries
-        p_hat = mk.recover(eco).p_hat.entries
-        for measure, mnum in (("P", p), ("P_hat", p_hat)):
-            got = mk.yield_curve(eco, g, [t], measure=measure)[0]
+        q = eco.prices.entries
+        for forecast in (eco.transition, mk.recover(eco).p_hat):
+            mnum = forecast.entries
+            got = mk.yield_curve(eco, g, [t], forecast)[0]
             for start in range(2):
                 num = den = 0.0
                 for a in range(2):
@@ -709,8 +710,8 @@ class TestYieldCurve:
         g = mk.conditional_increment_matrix(gaf, power_economy.transition)
         expected = np.exp(np.array([0.01 + 0.005, 0.02 + 0.045]))[:, None] * np.ones((2, 2))
         np.testing.assert_allclose(g, expected, rtol=1e-14)
-        y1 = mk.yield_curve(power_economy, gaf, [3], measure="P")
-        y2 = mk.yield_curve(power_economy, g, [3], measure="P")
+        y1 = mk.yield_curve(power_economy, gaf, [3], power_economy.transition)
+        y2 = mk.yield_curve(power_economy, g, [3], power_economy.transition)
         np.testing.assert_allclose(y1, y2, atol=1e-14)
 
     def test_growth_underflow_that_breaks_primitivity_rejected(self):
@@ -720,20 +721,32 @@ class TestYieldCurve:
         eco = mk.build_economy(transition, mk.SdfMatrix(np.ones((2, 2))))
         growth = np.array([[1.0, 1.0], [1e-30, 1.0]])
         with pytest.raises(NonPrimitiveMatrixError, match="growth-compounded"):
-            mk.yield_curve(eco, growth, [1, 2])
+            mk.yield_curve(eco, growth, [1, 2], eco.transition)
 
     def test_horizon_zero_rejected(self, power_economy):
         with pytest.raises(ValueError, match="positive"):
-            mk.yield_curve(power_economy, np.ones(2), [0])
+            mk.yield_curve(power_economy, np.ones(2), [0], power_economy.transition)
+
+    def test_forecast_of_another_size_rejected(self, power_economy):
+        other = mk.StochasticMatrix(np.full((3, 3), 1.0 / 3.0))
+        with pytest.raises(ValueError, match="forecast measure has 3 states, the economy 2"):
+            mk.yield_curve(power_economy, np.ones(2), [1], other)
+
+    def test_no_recovery_inside(self, monkeypatch, power_economy):
+        rec = mk.recover(power_economy)
+        calls = count_calls(monkeypatch, mk, "recover")
+        mk.yield_curve(power_economy, np.ones(2), [1, 5], rec.p_hat)
+        mk.log_return_bound_check(power_economy, rec)
+        assert calls == []
 
 
 class TestLogReturnBound:
     def test_equality_for_unit_martingale(self, power_economy):
-        b = mk.log_return_bound_check(power_economy)
+        b = mk.log_return_bound_check(power_economy, mk.recover(power_economy))
         np.testing.assert_allclose(b.slack, 0.0, atol=1e-12)
 
     def test_strict_slack_for_recursive_economy(self, recursive_economy):
-        b = mk.log_return_bound_check(recursive_economy)
+        b = mk.log_return_bound_check(recursive_economy, mk.recover(recursive_economy))
         assert np.all(b.slack >= -1e-12)
         assert np.max(b.slack) > 1e-4
 
@@ -741,7 +754,7 @@ class TestLogReturnBound:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_bound_never_violated(self, seed):
         eco = random_economy(np.random.default_rng(seed))
-        b = mk.log_return_bound_check(eco)
+        b = mk.log_return_bound_check(eco, mk.recover(eco))
         assert np.all(b.slack >= -1e-12)
 
 

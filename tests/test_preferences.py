@@ -125,12 +125,13 @@ class TestContinuationValue:
         assert np.all(np.isfinite(vf.v))
         assert vf.residual <= 1e-12
 
-    def test_nonconvergence_detected(self, two_state_transition):
+    def test_nonconvergence_detected(self, two_state_transition, monkeypatch):
         spec = pref.RecursiveUtilitySpec(
             delta=1e-6, gamma=10.0, g_c=0.0, c=np.array([1.0, 2.0])
         )
+        monkeypatch.setattr(pref, "_MAX_NEWTON", 1)
         with pytest.raises(ConvergenceError, match="residual"):
-            pref.solve_continuation_value(spec, two_state_transition, max_iter=1)
+            pref.solve_continuation_value(spec, two_state_transition)
 
     def test_tiny_delta_converges_at_round_off_floor(self, two_state_transition):
         spec = pref.RecursiveUtilitySpec(

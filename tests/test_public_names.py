@@ -35,11 +35,13 @@ def test_all_lists_every_public_definition(module):
         (lrr, "default_params"),
         (lrr.AffineExpectationCoeffs, "log_expectation_at"),
         (markov, "forward_measure"),
+        (markov.PricingMatrix, "bond_prices"),
+        (lrr.YieldCurves, "eta_hat"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):
     # changed_measure and risk_neutral_dynamics return StateDynamics; the
-    # other callers use solve_affine_ode(...).expectation, LrrParams() and
-    # forward_measures(prices, [t])[t]
+    # other callers use solve_affine_ode(...).expectation, LrrParams(),
+    # forward_measures(prices, [t])[t], risk_neutral(prices)[1] and pf.eta_hat
     assert not hasattr(owner, name)
     assert name not in getattr(owner, "__all__", ())
