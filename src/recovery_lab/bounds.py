@@ -61,6 +61,12 @@ _CONFIRM_ULPS = 64.0
 _MAX_NEWTON = 200
 _UNBOUNDED_NORM = 1e10
 _PINNED_RTOL = 1e-8
+_WALK_CHUNK = 1 << 14  # uniform draws taken from the generator and walked at a time
+
+
+def _check_theta(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
 
 
 def phi(theta: float, r) -> Union[float, NDArray[np.float64]]:
@@ -69,6 +75,7 @@ def phi(theta: float, r) -> Union[float, NDArray[np.float64]]:
     r = 0 is admitted for theta >= 0 (continuous extension); for theta < 0
     the kernel is undefined at 0 and a ValueError is raised.
     """
+    _check_theta(theta)
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise ValueError("phi is defined on nonnegative arguments only")
@@ -149,8 +156,10 @@ class BoundProblem:
     identity indices, and copies nothing.  A problem made by
     ``generate_problem_from_chain`` holds per-state tables instead: the
     payoffs by next state j (n x m), the prices by current state i (n x m),
-    R_inf by transition (n x n), and each row's indices (i, j), so its
-    transition label i * n + j groups equal rows in O(T).  The three row
+    R_inf by transition (n x n), and each row's indices (i, j) in the
+    narrowest unsigned type that holds n - 1, so its transition label
+    i * n + j groups equal rows in O(T).  A sampled problem's uniform weights
+    are one value, read-only ``np.broadcast_to(1 / T, (T,))``.  The three row
     arrays above are gathered from the tables on each access, not cached, so
     each access allocates T x m floats for a chain-made problem;
     ``unconditional_bound`` and ``kazemi_test`` work from the tables.
@@ -185,7 +194,9 @@ class BoundProblem:
             raise ValueError("long bond returns must be strictly positive")
         t = y.shape[0] if index is None else index[0].size
         if weights is None:
-            w = np.full(t, 1.0 / t)
+            # one stored value for problems stored by transition, whose
+            # weighted sums run over summed or contiguous weights only
+            w = np.full(t, 1.0 / t) if index is None else np.broadcast_to(1.0 / t, (t,))
         else:
             # contiguous, so weighted sums do not depend on the caller's layout
             w = np.ascontiguousarray(np.atleast_1d(np.asarray(weights, dtype=float)))
@@ -220,12 +231,15 @@ class BoundProblem:
         return self._r_table[self._index]
 
     @property
-    def _labels(self) -> Optional[NDArray[np.intp]]:
-        """Each row's transition label i * n + j; None for plain rows."""
+    def _labels(self) -> Optional[NDArray[np.unsignedinteger]]:
+        """Each row's transition label i * n + j, in the narrowest unsigned
+        type that holds every label; None for plain rows."""
         if self._index is None:
             return None
         rows_i, rows_j = self._index
-        labels = rows_i * self._payoff_table.shape[0]
+        n = self._payoff_table.shape[0]
+        labels = rows_i.astype(np.min_scalar_type(self._price_table.shape[0] * n - 1))
+        labels *= n
         labels += rows_j
         return labels
 
@@ -263,6 +277,7 @@ def conditional_discrepancy(
     its digits next to theta = 0 and -1, where phi's (r - 1) / theta term
     cancels.
     """
+    _check_theta(theta)
     if recovered.h_increments is None:
         raise ValueError("recovery lacks martingale increments (no transition given)")
     p = economy.transition.entries
@@ -278,6 +293,7 @@ def population_discrepancy(
     theta: float,
 ) -> float:
     """Stationary-weighted average of the conditional discrepancies."""
+    _check_theta(theta)
     pi = stationary_distribution(economy.transition)
     return float(pi @ conditional_discrepancy(economy, recovered, theta))
 
@@ -299,6 +315,7 @@ def conditional_bound(
     stationary-weighted average always dominates the unconditional bound on
     the same menu.
     """
+    _check_theta(theta)
     p = economy.transition.entries
     q = economy.prices.entries
     n = economy.n
@@ -377,7 +394,7 @@ def _distinct_rows(
 
 
 def _label_rows(
-    labels: NDArray[np.intp],
+    labels: NDArray[np.integer],
     counts: NDArray[np.intp],
     w_sorted: NDArray[np.float64],
     rows_of: Callable[[NDArray[np.intp]], NDArray[np.float64]],
@@ -390,11 +407,11 @@ def _label_rows(
     stably by label.  Rows that share a label are equal, so one row stands
     for each label and no row is compared: each label's weights are summed
     by ``np.add.reduceat`` in their row order, the pairwise sums that
-    ``_distinct_rows`` makes.  The labels' rows are put in ``_row_key``
-    order, as ``_distinct_rows`` gives rows with distinct keys, and
-    ``_distinct_rows`` then merges those that are equal across labels (all
-    rows i -> j of a constant discount factor).  So where the labels' rows
-    differ, the rows without their labels (a CSV round trip,
+    ``_distinct_rows`` makes.  The labels' rows are put in the order that
+    ``_distinct_rows`` sorts rows into, by ``_row_key`` and, where keys tie,
+    by the columns, and ``_distinct_rows`` then merges those that are equal
+    across labels (all rows i -> j of a constant discount factor).  So where
+    the labels' rows differ, the rows without their labels (a CSV round trip,
     ``dataclasses.replace``) give the same rows and weights to the last bit;
     where they merge, the summed weights may differ in the last bits.  When
     every label appears once, the labels say nothing and the rows go to
@@ -402,10 +419,11 @@ def _label_rows(
     """
     present = np.flatnonzero(counts)
     if present.size == labels.size:
-        return _distinct_rows(rows_of(labels), w)
+        # w may be one broadcast value; the weighted sums run over copies
+        return _distinct_rows(rows_of(labels), np.ascontiguousarray(w))
     starts = np.concatenate([[0], np.cumsum(counts[present])[:-1]])
     reps = rows_of(present)
-    by_key = np.argsort(_row_key(reps))
+    by_key = np.lexsort(np.vstack([reps.T[::-1], _row_key(reps)]))
     index = np.zeros(counts.size, dtype=np.intp)
     index[present[by_key]] = np.arange(present.size)
     sums = np.add.reduceat(w_sorted, starts)
@@ -428,13 +446,15 @@ def _grouped_rows(problem: BoundProblem):
     ``payoff_table[j] / r_table[i, j]``, and its price rows by i.  One stable
     sort by i * n + j serves both, as it sorts by i first; within a state the
     weights are then summed in label order, which is row order for a
-    population problem and immaterial for the uniform weights of a sampled
-    one, so its plain copy gets the same sums.
+    population problem.  Equal weights, as a sampled problem's are, need no
+    sort: it would only permute them, so its plain copy gets the same sums.
     """
-    keep = problem.weights > 0
-    w = problem.weights[keep]
-    if w.size == keep.size:  # a boolean row mask copies slowly; skip it
+    w = problem.weights
+    keep = w > 0
+    if keep.all():  # a boolean row mask copies; all-positive weights need none
         keep = None
+    else:
+        w = w[keep]
     if problem._index is None:
         payoff, r = problem.payoff_samples, problem.long_bond_return
         price = problem.price_samples
@@ -447,9 +467,11 @@ def _grouped_rows(problem: BoundProblem):
     y_table, q_table, r_table = problem._payoff_table, problem._price_table, problem._r_table
     n_q, n = q_table.shape[0], y_table.shape[0]
     counts = np.bincount(labels, minlength=n_q * n)
-    # numpy sorts 8- and 16-bit keys stably by radix sort
-    order = np.argsort(labels.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
-    w_sorted = w[order]
+    if w.max() == w.min():
+        w_sorted = w
+    else:
+        # numpy sorts the 8- and 16-bit labels stably by radix sort
+        w_sorted = w[np.argsort(labels, kind="stable")]
 
     def y_rows(labels):
         i, j = np.divmod(labels, n)
@@ -663,6 +685,7 @@ def unconditional_bound(
     rows by comparing them (see ``_grouped_rows``).  The complete
     ``arrow_pairs`` menu pins J.
     """
+    _check_theta(theta)
     y, w, group, prices, price_w = _grouped_rows(problem)
     q_bar = price_w @ prices
     t = y.shape[0]
@@ -686,16 +709,22 @@ def unconditional_bound(
 
 
 def _walk(
-    cum: NDArray[np.float64], first: int, draws: NDArray[np.float64]
-) -> NDArray[np.int_]:
-    """Path of a chain from ``first``: one step per uniform draw.
+    cum: NDArray[np.float64],
+    first: int,
+    t: int,
+    random: Callable[[int], NDArray[np.float64]],
+) -> NDArray[np.unsignedinteger]:
+    """Path of a chain from ``first``: t steps, one per uniform draw.
 
-    ``cum`` holds the cumulative sums of the transition rows.  Draw u moves
-    state s to the first j with cum[s, j] >= u, the left ``np.searchsorted``
-    of the row.  A row may sum to slightly less than one, so a draw can exceed
-    its last cumulative value; such a draw goes to the row's last state with
-    positive probability.  The walk runs on Python floats with ``bisect``,
-    one cheap call per step.
+    ``cum`` holds the cumulative sums of the transition rows and
+    ``random(k)`` gives the next k draws of one stream, such as a
+    generator's ``random``.  Draw u moves state s to the first j with
+    cum[s, j] >= u, the left ``np.searchsorted`` of the row.  A row may sum
+    to slightly less than one, so a draw can exceed its last cumulative
+    value; such a draw goes to the row's last state with positive
+    probability.  The walk runs on Python floats with ``bisect``, one cheap
+    call per step, ``_WALK_CHUNK`` draws at a time, and writes the t + 1
+    states into one array of the narrowest unsigned type that holds n - 1.
     """
     n = cum.shape[0]
     rows = cum.tolist()
@@ -705,10 +734,12 @@ def _walk(
         while last > 0 and row[last] == row[last - 1]:
             last -= 1
         row[last:] = [math.inf] * (n - last)
-    path = [first]
-    s = first
-    path.extend([s := bisect_left(rows[s], u) for u in draws.tolist()])
-    return np.fromiter(path, dtype=np.intp, count=len(path))
+    path = np.empty(t + 1, dtype=np.min_scalar_type(n - 1))
+    path[0] = s = first
+    for start in range(1, t + 1, _WALK_CHUNK):
+        draws = random(min(_WALK_CHUNK, t + 1 - start)).tolist()
+        path[start : start + len(draws)] = [s := bisect_left(rows[s], u) for u in draws]
+    return path
 
 
 def generate_problem_from_chain(
@@ -734,6 +765,8 @@ def generate_problem_from_chain(
     ``(psi @ Q.T).T`` (n x m), the n x n table of R_inf, and the path's
     ``rows_i`` and ``rows_j`` (see ``BoundProblem``).  No T x m array is
     built here; reading ``payoff_samples`` or ``price_samples`` gathers one.
+    A sampled path takes about one byte per row for n <= 256: the states in
+    one uint8 array, the uniform weight stored once.
     The "arrow_pairs" menu is stored as dense rows: its payoff block is the
     identity over the live transitions.
     """
@@ -752,21 +785,21 @@ def generate_problem_from_chain(
             raise ValueError("payoff matrix must have one column per state")
     if mode not in ("population", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and horizon_t < 1:
-        raise ValueError("sampled mode needs horizon_t >= 1")
+    if mode == "sampled" and not (isinstance(horizon_t, (int, np.integer)) and horizon_t >= 1):
+        raise ValueError(f"sampled mode needs an integer horizon_t >= 1, got {horizon_t!r}")
     if pairs_menu and mode != "population":
         raise ValueError("the transition-contingent menu requires population mode")
 
     pi = stationary_distribution(economy.transition)
     if mode == "population":
-        rows_i, rows_j = np.nonzero(p)
+        rows_i, rows_j = (k.astype(np.min_scalar_type(n - 1)) for k in np.nonzero(p))
         weights = pi[rows_i] * p[rows_i, rows_j]
     else:
         rng = np.random.default_rng(seed)
         first = int(rng.choice(n, p=pi))
-        states = _walk(np.cumsum(p, axis=1), first, rng.random(horizon_t))
+        states = _walk(np.cumsum(p, axis=1), first, horizon_t, rng.random)
         rows_i, rows_j = states[:-1], states[1:]
-        weights = np.full(horizon_t, 1.0 / horizon_t)
+        weights = None  # uniform, stored as one value
 
     if pairs_menu:
         # one claim per live transition, contingent on both endpoints: the

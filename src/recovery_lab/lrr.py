@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
@@ -135,6 +135,13 @@ def add_functionals(*fs: AffineFunctional) -> AffineFunctional:
     )
 
 
+_VECTOR_LENGTHS = {"sigma_1": 3, "sigma_2": 3, "iota": 2, "beta_c": 3, "alpha_c": 3}
+
+
+def _finite_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class LrrParams:
     """Model parameters at monthly frequency.
@@ -156,6 +163,18 @@ class LrrParams:
     gamma: float = 10.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            size = _VECTOR_LENGTHS.get(field.name)
+            if size is None:
+                if not _finite_real(value):
+                    raise ValueError(f"{field.name} must be a finite real number, got {value!r}")
+                continue
+            vector = isinstance(value, (tuple, list)) or (
+                isinstance(value, np.ndarray) and value.ndim == 1
+            )
+            if not (vector and len(value) == size and all(map(_finite_real, value))):
+                raise ValueError(f"{field.name} must be {size} finite real numbers, got {value!r}")
         if self.mu_11 >= 0 or self.mu_22 >= 0:
             raise ValueError("mu_11 and mu_22 must be negative (stationarity)")
         if self.iota[1] <= 0:

@@ -1,5 +1,7 @@
 """Shared fixtures: canonical two-state economies and random-economy factories."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,18 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def traced(call):
+    """Run ``call()`` under tracemalloc: its result, the bytes it allocated
+    at its peak, and the bytes it left allocated (numpy's buffers included)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept
 
 
 def random_transition(rng, n, floor=0.02):

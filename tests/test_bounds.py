@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +14,7 @@ from recovery_lab import markov as mk
 from recovery_lab import preferences as pref
 from recovery_lab.exceptions import ConvergenceError, InfeasibleProblemError
 
-from conftest import count_calls, distorted_grid_economy, random_recursive_economy
+from conftest import count_calls, distorted_grid_economy, random_recursive_economy, traced
 
 
 class TestPhi:
@@ -61,6 +60,21 @@ class TestPhi:
         lo, hi = 0.5 * r, 1.5 * r
         chord = 0.5 * (bd.phi(theta, lo) + bd.phi(theta, hi))
         assert bd.phi(theta, r) <= chord + 1e-12
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, recursive_economy, theta):
+        # theta = nan made the dual line search fail as a model error
+        rec = mk.recover(recursive_economy)
+        prob = bd.generate_problem_from_chain(recursive_economy, rec, "arrow")
+        for call in (
+            lambda: bd.phi(theta, 1.0),
+            lambda: bd.conditional_discrepancy(recursive_economy, rec, theta),
+            lambda: bd.population_discrepancy(recursive_economy, rec, theta),
+            lambda: bd.conditional_bound(recursive_economy, rec, theta),
+            lambda: bd.unconditional_bound(prob, theta),
+        ):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                call()
 
 
 class TestConditionalDiscrepancy:
@@ -507,6 +521,22 @@ class TestUnconditionalBound:
                 np.testing.assert_array_equal(got.j, want.j)
 
 
+def _searched_path(eco, horizon, seed):
+    """The sampled path, one ``np.searchsorted`` per step over one stream."""
+    rng = np.random.default_rng(seed)
+    states = [rng.choice(eco.n, p=mk.stationary_distribution(eco.transition))]
+    cum = np.cumsum(eco.transition.entries, axis=1)
+    for u in rng.random(horizon):
+        states.append(int(np.searchsorted(cum[states[-1]], u)))
+    return np.asarray(states)
+
+
+def _stream(draws):
+    """``random(k)`` over fixed draws: the next k of them on each call."""
+    rest = iter(np.asarray(draws, dtype=float).tolist())
+    return lambda k: np.fromiter(rest, dtype=float, count=k)
+
+
 class TestProblemGeneration:
     def test_population_weights_are_stationary_joint_law(self, recursive_economy):
         rec = mk.recover(recursive_economy)
@@ -535,19 +565,17 @@ class TestProblemGeneration:
         )
         np.testing.assert_array_equal(a.payoff_samples, b.payoff_samples)
 
-    @pytest.mark.parametrize("n", [2, 5, 10])
-    def test_sampled_path_matches_per_step_walk(self, n):
+    @pytest.mark.parametrize(
+        "n, horizon",
+        [(2, 2_000), (5, 2_000), (10, 2_000), (10, 2 * bd._WALK_CHUNK + 3)],
+        ids=["2", "5", "10", "10-past-chunk"],
+    )
+    def test_sampled_path_matches_per_step_walk(self, n, horizon):
         eco = random_recursive_economy(np.random.default_rng(n), n)
         prob = bd.generate_problem_from_chain(
-            eco, mk.recover(eco), "arrow", horizon_t=2_000, mode="sampled", seed=7
+            eco, mk.recover(eco), "arrow", horizon_t=horizon, mode="sampled", seed=7
         )
-        rng = np.random.default_rng(7)
-        p = eco.transition.entries
-        states = [rng.choice(n, p=mk.stationary_distribution(eco.transition))]
-        cum = np.cumsum(p, axis=1)
-        for u in rng.random(2_000):
-            states.append(int(np.searchsorted(cum[states[-1]], u)))
-        states = np.asarray(states)
+        states = _searched_path(eco, horizon, 7)
         np.testing.assert_array_equal(prob.payoff_samples, np.eye(n)[states[1:]])
         np.testing.assert_array_equal(prob.price_samples, eco.prices.entries[states[:-1]])
 
@@ -558,7 +586,7 @@ class TestProblemGeneration:
             p = mk.StochasticMatrix([row] * len(row)).entries
             cum = np.cumsum(p, axis=1)
             assert np.searchsorted(cum[0], 1.0 - 4e-13) == len(row)
-            path = bd._walk(cum, 0, np.array([1.0 - 4e-13, 0.2, 1.0 - 4e-13]))
+            path = bd._walk(cum, 0, 3, _stream([1.0 - 4e-13, 0.2, 1.0 - 4e-13]))
             np.testing.assert_array_equal(path, [0, 1, 0, 1])
 
     @settings(max_examples=200, deadline=None)
@@ -596,7 +624,7 @@ class TestProblemGeneration:
             if j == n:  # above the row's sum: its last live state
                 j = int(np.flatnonzero(cum[s] > np.concatenate([[0.0], cum[s, :-1]]))[-1])
             states.append(j)
-        np.testing.assert_array_equal(bd._walk(cum, first, draws), states)
+        np.testing.assert_array_equal(bd._walk(cum, first, draws.size, _stream(draws)), states)
 
     def test_long_bond_return_read_from_recovery(self, recursive_economy):
         rec = mk.recover(recursive_economy)
@@ -644,6 +672,8 @@ class TestProblemGeneration:
             ("pairs", "population", 0, "unknown payoff_spec"),
             ("arrow", "simulated", 10_000, "unknown mode"),
             ("arrow", "sampled", 0, "horizon_t >= 1"),
+            ("arrow", "sampled", 100.5, "integer horizon_t >= 1"),
+            ("arrow", "sampled", 1e3, "integer horizon_t >= 1"),
         ],
     )
     def test_bad_arguments_rejected_before_any_work(
@@ -686,6 +716,13 @@ def _sparse_recursive_economy(rng, n, zero_share):
     return mk.build_economy(transition, pref.recursive_sdf(spec, transition, value))
 
 
+@pytest.fixture(scope="module", params=[16, 17, 257])
+def edge_chain(request):
+    """A chain whose n - 1 or n^2 - 1 is just past a uint8 or a uint16."""
+    eco = random_recursive_economy(np.random.default_rng(request.param), request.param)
+    return eco, mk.recover(eco)
+
+
 class TestTransitionLabels:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -723,6 +760,77 @@ class TestTransitionLabels:
             return
         assert got.n_rows == want.n_rows
         assert got.lambda_bar == pytest.approx(want.lambda_bar, rel=1e-12, abs=1e-300)
+        np.testing.assert_allclose(got.j, want.j, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "horizon",
+        [bd._WALK_CHUNK - 1, bd._WALK_CHUNK, bd._WALK_CHUNK + 1, 3 * bd._WALK_CHUNK + 5],
+    )
+    def test_index_type_edges_and_walk_chunks(self, edge_chain, horizon):
+        # labels formed in the index type would wrap (16 * 17 + 16 = 288 is
+        # 32 in uint8); the paths end just before, on and after the walk's
+        # chunk boundaries
+        eco, rec = edge_chain
+        n = eco.n
+        menu = "arrow" if n < 257 else np.random.default_rng(n).uniform(0.5, 1.5, size=(3, n))
+        prob = bd.generate_problem_from_chain(
+            eco, rec, menu, horizon_t=horizon, mode="sampled", seed=horizon
+        )
+        rows_i, rows_j = prob._index
+        assert rows_i.dtype == rows_j.dtype == np.min_scalar_type(n - 1)
+        assert prob._labels.dtype == np.min_scalar_type(n * n - 1)
+        states = _searched_path(eco, horizon, horizon)
+        np.testing.assert_array_equal(rows_i, states[:-1])
+        np.testing.assert_array_equal(rows_j, states[1:])
+        np.testing.assert_array_equal(prob._labels, states[:-1] * n + states[1:])
+        plain = dataclasses.replace(prob)
+        np.testing.assert_array_equal(bd.kazemi_test(prob), bd.kazemi_test(plain))
+        for theta in (-1.0, 0.0, 1.0):
+            got, want = bd.unconditional_bound(prob, theta), bd.unconditional_bound(plain, theta)
+            assert got.lambda_bar == want.lambda_bar and got.dual_value == want.dual_value
+            assert (got.iterations, got.n_rows) == (want.iterations, want.n_rows)
+            np.testing.assert_array_equal(got.multipliers, want.multipliers)
+            np.testing.assert_array_equal(got.j, want.j)
+
+    @pytest.mark.parametrize("seed", [1, 5, 6])  # paths of 12 distinct transitions
+    def test_path_of_distinct_transitions_matches_plain_copy(self, seed):
+        # every label once: the rows go to the dual in row order, with the
+        # one stored 1 / T as a contiguous array (``w @ y`` over the
+        # broadcast takes another BLAS kernel and moves the last bits)
+        rng = np.random.default_rng(seed)
+        eco = random_recursive_economy(rng, 10)
+        menu = rng.uniform(0.5, 1.5, size=(2, 10))
+        labelled = bd.generate_problem_from_chain(
+            eco, mk.recover(eco), menu, horizon_t=12, mode="sampled", seed=seed
+        )
+        assert np.unique(labelled._labels).size == 12
+        plain = dataclasses.replace(labelled)
+        np.testing.assert_array_equal(bd.kazemi_test(labelled), bd.kazemi_test(plain))
+        for theta in (-1.0, 0.0, 1.0):
+            got, want = bd.unconditional_bound(labelled, theta), bd.unconditional_bound(plain, theta)
+            assert got.lambda_bar == want.lambda_bar
+            np.testing.assert_array_equal(got.multipliers, want.multipliers)
+            np.testing.assert_array_equal(got.j, want.j)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unequal_weights_on_a_path_are_summed_by_label(self, seed):
+        # equal weights skip the label sort; unequal ones on a path, whose
+        # labels come in no order, are sorted by label before they are summed
+        rng = np.random.default_rng(seed)
+        eco = random_recursive_economy(rng, 4)
+        sampled = bd.generate_problem_from_chain(
+            eco, mk.recover(eco), "arrow", horizon_t=500, mode="sampled", seed=seed
+        )
+        w = rng.random(500)
+        tables = (sampled._payoff_table, sampled._price_table, sampled._r_table)
+        labelled = bd.BoundProblem._by_transition(*tables, *sampled._index, w / w.sum())
+        plain = dataclasses.replace(labelled)
+        # within a state, prices' weights are summed in label order, not row order
+        np.testing.assert_allclose(
+            bd.kazemi_test(labelled), bd.kazemi_test(plain), rtol=0, atol=1e-12
+        )
+        got, want = bd.unconditional_bound(labelled, 0.0), bd.unconditional_bound(plain, 0.0)
+        assert got.lambda_bar == pytest.approx(want.lambda_bar, rel=1e-12)
         np.testing.assert_allclose(got.j, want.j, rtol=0, atol=1e-10)
 
     def test_rows_equal_across_labels_merge(self):
@@ -781,21 +889,38 @@ class TestTransitionLabels:
 
     def test_sampled_bound_forms_no_sample_arrays(self):
         # dense rows would take 2 T m 8 B = 32 MB for payoffs and prices at
-        # n = m = 10, T = 200,000; tracemalloc sees numpy's buffers
+        # n = m = 10, T = 200,000
         eco = random_recursive_economy(np.random.default_rng(10), 10)
         rec = mk.recover(eco)
-        tracemalloc.start()
-        try:
+
+        def sample_and_bound():
             prob = bd.generate_problem_from_chain(
                 eco, rec, "arrow", horizon_t=200_000, mode="sampled", seed=1
             )
-            res = bd.unconditional_bound(prob, 0.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return bd.unconditional_bound(prob, 0.0)
+
+        res, peak, _ = traced(sample_and_bound)
         assert res.converged and res.n_rows == 100
         # measured 11.8 MB, against 42 MB with the rows stored
         assert peak < 16e6
+
+    def test_sampled_problem_takes_about_a_byte_per_row(self):
+        # T = 10^6 on 10 states: the path in uint8 and the weight stored
+        # once.  With an int64 path, T weights and the draws as one array
+        # and as a list, these were 48.5, 16.0 and 48.0 MB
+        eco = random_recursive_economy(np.random.default_rng(10), 10)
+        rec = mk.recover(eco)
+        prob, peak, kept = traced(
+            lambda: bd.generate_problem_from_chain(
+                eco, rec, "arrow", horizon_t=1_000_000, mode="sampled", seed=1
+            )
+        )
+        assert prob._index[0].dtype == np.uint8 and prob.weights.strides == (0,)
+        assert peak < 4e6  # measured 2.2 MB
+        assert kept < 2e6  # measured 1.0 MB
+        res, peak, _ = traced(lambda: bd.unconditional_bound(prob, 0.0))
+        assert res.converged and res.n_rows == 100
+        assert peak < 32e6  # measured 17.1 MB, 8 MB of it the returned J
 
 
 class TestPinnedMenus:

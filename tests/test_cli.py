@@ -406,6 +406,28 @@ class TestLrr:
         assert "bins must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "lrr_summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ("gamma=abc", "gamma"),
+            ("iota=1", "iota"),
+            ("beta_c=0.001", "beta_c"),
+            ("sigma_1=0,0.0003", "sigma_1"),
+            ("alpha_c=0.0078,0", "alpha_c"),
+            ("iota=0,1,2", "iota"),
+            ("mu_11=nan", "mu_11"),
+            ("sigma_2=0,0,nan", "sigma_2"),
+            ("mu_12=inf", "mu_12"),
+        ],
+    )
+    def test_malformed_parameter_is_an_input_error(self, tmp_path, capsys, override, field):
+        # these crashed with a TypeError, failed inside numpy, or exited 2
+        # as model errors
+        argv = ["lrr", "--out", str(tmp_path), "--horizons", "12:24:12", "--override", override]
+        assert cli.main(argv) == 1
+        assert f"input error: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "lrr_summary.json").exists()
+
     def test_degenerate_volatility_factor_exit_two(self, tmp_path):
         # X2 without shocks has a point-mass stationary law: no density
         assert cli.main(
@@ -476,6 +498,17 @@ class TestBounds:
         for entry in payload["theta"].values():
             assert entry["converged"]
             assert np.max(np.abs(entry["constraint_residuals"])) <= 1e-8
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_is_an_input_error(
+        self, tmp_path, capsys, recursive_economy_file, theta
+    ):
+        # nan exited 2 with "dual line search failed to make progress"
+        argv = ["bounds", "--input", str(recursive_economy_file), "--out", str(tmp_path),
+                f"--theta=0,{theta}"]
+        assert cli.main(argv) == 1
+        assert "input error: theta must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.json").exists()
 
     def test_entropy_bound_with_underflowed_primal(self, tmp_path):
         # at theta = 0 the primal exp(z - 1) underflows to 0 on some of the

@@ -793,6 +793,19 @@ class TestParamsInterface:
         with pytest.raises(ValueError, match="unknown parameter overrides"):
             lrr.apply_overrides(params, {"gamma_typo": 3.0})
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"iota": [0.0]}, "iota"),
+            ({"sigma_1": [0.0, "x", 0.0]}, "sigma_1"),
+            ({"gamma": None}, "gamma"),
+            ({"delta": [0.002]}, "delta"),
+        ],
+    )
+    def test_malformed_field_rejected(self, payload, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            lrr.params_from_dict(payload)
+
     def test_stationarity_validated(self):
         with pytest.raises(ValueError, match="negative"):
             lrr.LrrParams(mu_11=0.1)
