@@ -399,8 +399,9 @@ def _label_rows(
     w_sorted: NDArray[np.float64],
     rows_of: Callable[[NDArray[np.intp]], NDArray[np.float64]],
     w: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.float64], Optional[NDArray[np.intp]]]:
-    """``_distinct_rows`` of rows that are functions of their labels.
+) -> tuple[NDArray[np.float64], NDArray[np.float64], Optional[NDArray[np.unsignedinteger]]]:
+    """``_distinct_rows`` of rows that are functions of their labels, with
+    each label's row instead of each sample's.
 
     ``rows_of(labels)`` gives the rows of the given labels, ``counts`` the
     number of rows of each label and ``w_sorted`` the weights ``w`` sorted
@@ -416,21 +417,29 @@ def _label_rows(
     where they merge, the summed weights may differ in the last bits.  When
     every label appears once, the labels say nothing and the rows go to
     ``_distinct_rows`` as they are.
+
+    The last result maps each label to its row, in the narrowest unsigned
+    type that holds the row count, so ``index[labels]`` is each sample's
+    row; it is None when every sample is its own row, in sample order.
     """
     present = np.flatnonzero(counts)
+    index = np.zeros(counts.size, dtype=np.min_scalar_type(present.size))
     if present.size == labels.size:
         # w may be one broadcast value; the weighted sums run over copies
-        return _distinct_rows(rows_of(labels), np.ascontiguousarray(w))
+        reps, sums, group = _distinct_rows(rows_of(labels), np.ascontiguousarray(w))
+        if group is None:
+            return reps, sums, None
+        index[labels] = group
+        return reps, sums, index
     starts = np.concatenate([[0], np.cumsum(counts[present])[:-1]])
     reps = rows_of(present)
     by_key = np.lexsort(np.vstack([reps.T[::-1], _row_key(reps)]))
-    index = np.zeros(counts.size, dtype=np.intp)
     index[present[by_key]] = np.arange(present.size)
     sums = np.add.reduceat(w_sorted, starts)
     reps, sums, merged = _distinct_rows(reps[by_key], sums[by_key])
     if merged is not None:
-        index = merged[index]
-    return reps, sums, index[labels]
+        index = merged.astype(index.dtype)[index]
+    return reps, sums, index
 
 
 def _grouped_rows(problem: BoundProblem):
@@ -482,7 +491,8 @@ def _grouped_rows(problem: BoundProblem):
 
     state_counts = counts.reshape(n_q, n).sum(axis=1)
     prices, price_w, _ = _label_rows(rows_i, state_counts, w_sorted, q_rows, w)
-    return (*_label_rows(labels, counts, w_sorted, y_rows, w), prices, price_w)
+    y, y_w, index = _label_rows(labels, counts, w_sorted, y_rows, w)
+    return y, y_w, None if index is None else index[labels], prices, price_w
 
 
 def _pinned(

@@ -79,7 +79,6 @@ __all__ = [
     "stationary_density",
     "density_from_draws",
     "yield_curves",
-    "cir_stationary_moments",
     "stationary_moments",
     "StationaryLaw",
     "params_from_dict",
@@ -993,13 +992,6 @@ def simulate_functional(
             )
         )
     return out
-
-
-def cir_stationary_moments(dynamics: StateDynamics) -> tuple[float, float]:
-    """Stationary mean and variance of the volatility factor."""
-    i2 = float(dynamics.iota[1])
-    s22 = float(dynamics.sigma_2 @ dynamics.sigma_2)
-    return i2, s22 * i2 / (-2.0 * dynamics.mu_22)
 
 
 # ---------------------------------------------------------------------------

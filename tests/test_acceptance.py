@@ -225,7 +225,8 @@ def test_c06_lrr_pipeline(lrr_bundle, affine_gate, stationary_ensembles):
     n_paths = ENSEMBLE_PATHS
     dens_p = lrr.density_from_draws(*draws["p"])
     dens_hat = lrr.density_from_draws(*draws["p_hat"])
-    mean_t, var_t = lrr.cir_stationary_moments(params.dynamics())
+    mean, cov = lrr.stationary_moments(params.dynamics())
+    mean_t, var_t = mean[1], cov[1, 1]
     se_mean_p = np.sqrt(dens_p.cov[1, 1] / n_paths)
     se_var_p = dens_p.cov[1, 1] * np.sqrt(2.0 / n_paths)
     se_mean_h = np.sqrt(dens_hat.cov[1, 1] / n_paths)

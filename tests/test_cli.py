@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recovery_lab import cli
 from recovery_lab import lrr as lrr_mod
@@ -58,12 +60,14 @@ def test_package_import_loads_no_scipy():
 
 
 def test_lrr_run_loads_no_scipy(tmp_path):
-    # the exponents come from the Magnus propagator, not scipy.integrate
+    # the exponents come from the Magnus propagator, not scipy.integrate, and
+    # the demo's residuals and gaps are closed forms, not a scipy.special grid
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, recovery_lab.cli as c; "
         f"assert c.main(['lrr', '--out', {str(tmp_path / 'lrr')!r}]) == 0; "
+        f"assert c.main(['demo-approx', '--out', {str(tmp_path / 'demo')!r}]) == 0; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
@@ -172,7 +176,7 @@ class TestFlagTable:
         assert cli.main(lrr_argv) == 0
         assert cli.main(["demo-approx", "--out", str(tmp_path / "demo")]) == 0
         report = json.loads((tmp_path / "demo" / "approx_report.json").read_text())
-        # the gap at rho = 1e-4 is a few ulps, and it must stay positive
+        # the gap at rho = 1e-4 is 1e-4, and it must stay positive
         assert all(gap > 0.0 for gap in report["spectral_gaps"].values())
 
 
@@ -543,10 +547,71 @@ class TestBounds:
             assert entry["duality_gap"] <= 1e-10
 
 
+# the demo's model, as the program states it in _approx_family_report
+DEMO_P_X = np.array([[0.9, 0.1], [0.2, 0.8]])
+DEMO_G, DEMO_DELTA, DEMO_ZETA_TRUE, DEMO_M = 0.05, 0.02, 0.5, np.array([1.0, 1.3])
+DEMO_DRIFT = np.array([DEMO_G, -2.0 * DEMO_G])  # zero mean under pi_x = (2/3, 1/3)
+
+
+def demo_half_range(rho, sigma_y):
+    sd_y = np.sqrt((sigma_y**2 + 2.0 * DEMO_G**2) / max(1.0 - (1.0 - rho) ** 2, 1e-12))
+    return min(5.0 * sd_y, 100.0)
+
+
+def demo_pricing_kernel():
+    """e^{-delta} P_x(x, x') m(x') / m(x), the x-part of the pricing operator."""
+    return np.exp(-DEMO_DELTA) * DEMO_P_X * DEMO_M[None, :] / DEMO_M[:, None]
+
+
+def quadrature_residual(rho, zeta, sigma_y):
+    """max |(Q eps) - lambda eps| / (lambda eps) over 4,001 points of |y| <= Y,
+    the y-expectation by 60-node Gauss-Hermite and (lambda, e) by ``eig``."""
+    y = np.linspace(-1.0, 1.0, 4001) * demo_half_range(rho, sigma_y)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(60)
+    weights = weights / np.sqrt(2.0 * np.pi)
+    kappa = zeta + DEMO_ZETA_TRUE
+    kernel = demo_pricing_kernel()
+    vals, vecs = np.linalg.eig(
+        np.exp(kappa * DEMO_DRIFT + 0.5 * (kappa * sigma_y) ** 2)[:, None] * kernel
+    )
+    top = int(np.argmax(vals.real))
+    lam, e = vals[top].real, np.abs(vecs[:, top].real)
+    # (x, y, node) -> y' = (1 - rho) y + d(x) + sigma_y eps
+    y_next = (1.0 - rho) * y[None, :, None] + DEMO_DRIFT[:, None, None] + sigma_y * nodes
+    moment = np.exp(DEMO_ZETA_TRUE * (y_next - y[:, None]) + zeta * y_next) @ weights
+    q_eps = (kernel @ e)[:, None] * moment
+    eps = e[:, None] * np.exp(zeta * y)
+    return float(np.max(np.abs(q_eps - lam * eps) / (lam * eps)))
+
+
+def tauchen_gap(rho, n_y):
+    """1 - |lambda_2| / |lambda_1| of the pricing operator on a Tauchen grid
+    of n_y cells per growth state, tails lumped at the ends."""
+    from scipy.special import ndtr
+
+    persistence = 1.0 - rho
+    half = demo_half_range(rho, 0.25)
+    grid = np.linspace(-half, half, n_y)
+    edges = np.concatenate([[-np.inf], 0.5 * (grid[:-1] + grid[1:]), [np.inf]])
+    blocks = []
+    for d in DEMO_DRIFT:
+        z = (edges[None, :] - (persistence * grid + d)[:, None]) / 0.25
+        # upper-tail cells from the survival function, so they stay positive
+        cells = np.where(
+            0.5 * (z[:, :-1] + z[:, 1:]) <= 0, np.diff(ndtr(z), axis=1), -np.diff(ndtr(-z), axis=1)
+        )
+        blocks.append(cells / cells.sum(axis=1, keepdims=True))
+    w = np.stack(blocks)  # y-transition of each growth state
+    # Q((x, y), (x', y')) = e^{-delta} P_x m'/m  w_x(y, y') e^{zeta_true (y' - y)}
+    q = demo_pricing_kernel()[:, None, :, None] * w[:, :, None, :]
+    q = q * np.exp(DEMO_ZETA_TRUE * (grid[None, :] - grid[:, None]))[None, :, None, :]
+    mags = np.sort(np.abs(np.linalg.eigvals(q.reshape(2 * n_y, 2 * n_y))))[::-1]
+    return 1.0 - mags[1] / mags[0]
+
+
 class TestDemoApprox:
     def test_report_structure_and_determinism(self, tmp_path):
-        overrides = ["--override", "rhos=1.0,0.01", "--override", "n_zeta=11",
-                     "--override", "n_y=21"]
+        overrides = ["--override", "rhos=1.0,0.01", "--override", "n_zeta=11"]
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert cli.main(["demo-approx", "--out", str(out_a), *overrides]) == 0
@@ -561,27 +626,55 @@ class TestDemoApprox:
         assert report["near_solutions"]["0.01"] >= report["near_solutions"]["1.0"]
         assert report["spectral_gaps"]["0.01"] < report["spectral_gaps"]["1.0"]
 
-    def test_one_grid_transition_per_growth_state_and_rho(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, cli, "_tauchen_rows")
-        assert cli.main(
-            ["demo-approx", "--out", str(tmp_path), "--override", "rhos=1.0,0.01",
-             "--override", "n_zeta=3", "--override", "n_y=11"]
-        ) == 0
-        assert len(calls) == 4
+    def test_default_gaps_and_near_solutions(self, tmp_path):
+        assert cli.main(["demo-approx", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "approx_report.json").read_text())
+        rhos = ["1.0", "0.1", "0.01", "0.0001"]
+        gaps = report["spectral_gaps"]
+        assert sorted(gaps) == sorted(rhos)
+        for rho, want in zip(rhos, [0.3, 0.1, 0.01, 1e-4]):
+            assert gaps[rho] == pytest.approx(want, rel=1e-12)
+        # only zeta = -zeta_true = -0.5 solves, at every persistence; its
+        # neighbours on the 25-point grid miss by 0.00115 at rho = 1e-4
+        assert report["near_solutions"] == {rho: 1 for rho in rhos}
+        header, rows = read_csv(tmp_path / "approx_residuals.csv")
+        assert header == ["rho", "zeta", "residual"]
+        assert rows.shape == (100, 3)
+        (miss,) = rows[(rows[:, 0] == 1e-4) & (rows[:, 1] == -0.625), 2]
+        assert miss == pytest.approx(0.00115, rel=1e-3)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        rho=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+        zeta=st.floats(-1.0, 2.0),
+        sigma_y=st.floats(0.05, 1.0),
+    )
+    def test_residual_matches_quadrature(self, rho, zeta, sigma_y):
+        (entry,) = cli._approx_family_report([rho], np.array([zeta]), sigma_y, DEMO_G,
+                                             DEMO_ZETA_TRUE)
+        (_, _, got), = entry["rows"]
+        want = quadrature_residual(rho, zeta, sigma_y)
+        # the reference cancels near zeta = -zeta_true, hence the absolute term
+        assert abs(got - want) <= 1e-10 * want + 1e-13
+
+    @pytest.mark.parametrize("rho", [1.0, 0.1, 0.01])
+    def test_gap_matches_tauchen_chain(self, rho):
+        (entry,) = cli._approx_family_report([rho], np.zeros(1), 0.25, DEMO_G, DEMO_ZETA_TRUE)
+        assert entry["spectral_gap"] == pytest.approx(tauchen_gap(rho, 201), rel=1e-3)
 
     @pytest.mark.parametrize(
         "override",
-        ["n_y=0", "n_y=1", "n_y=2.5", "n_y=inf", "n_zeta=0", "n_zeta=1.5",
+        ["n_y=0", "n_zeta=0", "n_zeta=1.5",
          "sigma_y=-1", "sigma_y=0", "sigma_y=inf", "sigma_y=nan", "sigma_y=a",
          "rhos=abc", "rhos=0", "rhos=-1", "rhos=2", "rhos=3", "rhos=1,nan", "rhos=inf",
          "zeta_min=1,2", "zeta_max=a", "zeta_min=nan", "zeta_max=inf", "zeta_min=3"],
     )
     def test_invalid_grid_override_is_an_input_error(self, override, tmp_path, capsys):
-        # n_y = 0 used to raise IndexError, n_y = 1 and sigma_y = -1 to exit 0
-        # with meaningless residuals, n_y = 2.5 to be truncated to 2, and
-        # sigma_y = 0 to exit 2 as if the model were at fault; rhos = abc and
-        # zeta_min = 1,2 raised TypeError, rhos = 0 (a unit root) exited 0 and
-        # rhos = -1 or 3 exited 2; zeta_min = 3 is above the default zeta_max
+        # the demo has no grid, so n_y is an unknown override; sigma_y = -1
+        # used to exit 0 with meaningless residuals and sigma_y = 0 to exit 2
+        # as if the model were at fault; rhos = abc and zeta_min = 1,2 raised
+        # TypeError, rhos = 0 (a unit root) exited 0 and rhos = -1 or 3
+        # exited 2; zeta_min = 3 is above the default zeta_max
         argv = ["demo-approx", "--out", str(tmp_path), "--override", "rhos=1.0",
                 "--override", "n_zeta=3", "--override", override]
         assert cli.main(argv) == 1
@@ -592,7 +685,7 @@ class TestDemoApprox:
         out = tmp_path / "r"
         assert cli.main(
             ["demo-approx", "--out", str(out), "--override", "rhos=1.0",
-             "--override", "n_zeta=7", "--override", "n_y=15"]
+             "--override", "n_zeta=7"]
         ) == 0
         _, rows = read_csv(out / "approx_residuals.csv")
         assert rows.shape == (7, 3)
