@@ -137,9 +137,12 @@ def _parse_horizons(spec: str) -> list[int]:
     return list(range(a, b + 1, step))
 
 
-def _load_input(path: str):
+def _load_input(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("input JSON must be an object")
+    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -1388,18 +1388,7 @@ def yield_curves(
 # JSON interface
 # ---------------------------------------------------------------------------
 
-_PARAM_FIELDS = (
-    "mu_11",
-    "mu_12",
-    "mu_22",
-    "sigma_1",
-    "sigma_2",
-    "iota",
-    "beta_c",
-    "alpha_c",
-    "delta",
-    "gamma",
-)
+_PARAM_FIELDS = tuple(f.name for f in fields(LrrParams))
 
 
 def params_to_dict(params: LrrParams) -> dict:

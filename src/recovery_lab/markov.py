@@ -716,6 +716,19 @@ def log_return_bound_check(
 # ---------------------------------------------------------------------------
 
 
+def _log_increment(
+    functional: GaussianAugmentedFunctional, p: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """log E[exp(log-increment) | i, j] = beta_i + |g_i|^2 / 2 + c_i . (u_j - P_i.),
+    formed as c_ij - c_i . P_i. so that no n x n x n innovation is built."""
+    if functional.n != p.shape[0]:
+        raise ValueError("functional dimension does not match the chain")
+    c = functional.chain_loading
+    g = functional.gaussian_loading
+    row = functional.beta_bar + 0.5 * np.sum(g * g, axis=1) - np.sum(c * p, axis=1)
+    return row[:, None] + c
+
+
 def conditional_increment_matrix(
     functional: GaussianAugmentedFunctional, transition: StochasticMatrix
 ) -> NDArray[np.float64]:
@@ -725,29 +738,23 @@ def conditional_increment_matrix(
     at (u_j - P_i .) and leaves the Gaussian block standard normal, so the
     conditional mean is the chain term times exp(half the Gaussian variance).
     """
-    p = transition.entries
-    n = transition.n
-    if functional.n != n:
-        raise ValueError("functional dimension does not match the chain")
-    c = functional.chain_loading
-    g = functional.gaussian_loading
-    innov = np.eye(n)[None, :, :] - p[:, None, :]  # innov[i, j, :] = u_j - P_i
-    chain_part = np.einsum("ijk,ik->ij", innov, c)
-    gauss_var = np.sum(g * g, axis=1)
-    return np.exp(functional.beta_bar[:, None] + chain_part + 0.5 * gauss_var[:, None])
+    return np.exp(_log_increment(functional, transition.entries))
 
 
-def _normalize_y_specs(y_spec, zeta):
-    if isinstance(y_spec, GaussianAugmentedFunctional):
-        specs = [y_spec]
-    else:
-        specs = list(y_spec)
+def _combined(y_spec, zeta) -> GaussianAugmentedFunctional:
+    """F = zeta . Y: the zeta-weighted sum of the cash-flow blocks' loadings."""
+    specs = [y_spec] if isinstance(y_spec, GaussianAugmentedFunctional) else list(y_spec)
     z = np.atleast_1d(np.asarray(zeta, dtype=float))
-    if z.shape[0] != len(specs):
+    if not specs or z.shape[0] != len(specs):
         raise ValueError(
             f"zeta has length {z.shape[0]} but {len(specs)} cash-flow blocks given"
         )
-    return specs, z
+    if any(s.n != specs[0].n or s.k != specs[0].k for s in specs):
+        raise ValueError("all Y blocks must share the chain size and shock count")
+    return GaussianAugmentedFunctional(
+        beta_bar=sum(zr * s.beta_bar for zr, s in zip(z, specs)),
+        alpha_bar=sum(zr * s.alpha_bar for zr, s in zip(z, specs)),
+    )
 
 
 def extended_pf_family(
@@ -761,53 +768,40 @@ def extended_pf_family(
     The candidate eigenfunctions have the form exp(zeta . y) e(x): the analyst
     hypothesizes that the discount factor loads on the increments of the
     cumulative process Y with coefficient vector ``zeta`` and inverts Arrow
-    prices under that hypothesis.  Concretely the op prices the
-    exp(-zeta . dY)-weighted Arrow claims,
+    prices under that hypothesis.  The weighting exp(-zeta . dY) depends on
+    the blocks of Y only through the one functional F = zeta . Y, whose
+    loadings (beta_F, chain c_F, Gaussian g_F) are the zeta-weighted sums of
+    the blocks' loadings.  The op prices the exp(-dF)-weighted Arrow claims,
 
-        Q_zeta[i, j] = E[ (S_{t+1}/S_t) exp(-zeta . dY_{t+1}) 1{X_{t+1}=j} | X_t=i ],
+        Q_zeta[i, j] = E[ (S_{t+1}/S_t) exp(-dF_{t+1}) 1{X_{t+1}=j} | X_t=i ],
 
     solves the dominant eigenpair of Q_zeta, and returns the transition matrix
     induced after the Y-loading has been absorbed.  Given the economy's Arrow
     prices q_ij the weighting is a Gaussian moment-generating correction:
 
         Q_zeta[i, j] = q_ij
-            * exp(-zeta . (mu_y[i] + C_y[i] (u_j - P_i.)))       # chain block
-            * exp(0.5 zeta' Sigma_yy[i] zeta - zeta' Sigma_ys[i])  # Gaussian block
+            * exp(-beta_F[i] - c_F[i] . (u_j - P_i.))       # chain block
+            * exp(|g_F[i]|^2 / 2 - g_F[i] . a_s[i])         # Gaussian block
 
-    with Sigma_yy[i] the Gaussian covariance of dY given state i and
-    Sigma_ys[i] the covariance between dY and the log discount-factor
-    increment (``sdf_gaussian_loading``, an n x k matrix, zero by default).
-    At zeta = 0 this reduces exactly to ``recover``.
+    with a_s the Gaussian loading of the log discount-factor increment
+    (``sdf_gaussian_loading``, an n x k matrix, zero by default).  The
+    exponent is g_F . (g_F - a_s) less the log of
+    ``conditional_increment_matrix(F)``, which holds |g_F|^2 / 2 with the
+    chain block.  At zeta = 0 this reduces exactly to ``recover``.
     """
-    specs, z = _normalize_y_specs(y_spec, zeta)
-    n = economy.n
-    p = economy.transition.entries
+    f = _combined(y_spec, zeta)
     q = economy.prices.entries
-    k = specs[0].k
-    for s in specs:
-        if s.n != n or s.k != k:
-            raise ValueError("all Y blocks must share the chain size and shock count")
-    if sdf_gaussian_loading is None:
-        a_s = np.zeros((n, k))
-    else:
+    log_increment = _log_increment(f, economy.transition.entries)
+    g = f.gaussian_loading
+    a_s = np.zeros_like(g)
+    if sdf_gaussian_loading is not None:
         a_s = np.asarray(sdf_gaussian_loading, dtype=float)
-        if a_s.shape != (n, k):
-            raise ValueError(f"sdf_gaussian_loading must have shape {(n, k)}")
-
-    mu_y = np.stack([s.beta_bar for s in specs])  # (k', n)
-    b = np.stack([s.gaussian_loading for s in specs])  # (k', n, k)
-    c = np.stack([s.chain_loading for s in specs])  # (k', n, n)
-
-    innov = np.eye(n)[None, :, :] - p[:, None, :]
-    chain_term = np.einsum("r,rik,ijk->ij", z, c, innov)
-    sigma_yy = np.einsum("rik,sik->irs", b, b)  # (n, k', k')
-    sigma_ys = np.einsum("rik,ik->ir", b, a_s)  # (n, k')
-    row_exponent = (
-        -mu_y.T @ z + 0.5 * np.einsum("r,irs,s->i", z, sigma_yy, z) - sigma_ys @ z
-    )
+    if a_s.shape != g.shape:
+        raise ValueError(f"sdf_gaussian_loading must have shape {g.shape}")
+    exponent = np.sum(g * (g - a_s), axis=1)[:, None] - log_increment
     with np.errstate(over="raise"):
         try:
-            q_zeta = q * np.exp(row_exponent[:, None] - chain_term)
+            q_zeta = q * np.exp(exponent)
         except FloatingPointError as exc:
             raise OverflowError(
                 "moment-generating correction overflowed; zeta too large"
@@ -829,33 +823,18 @@ def ross_extended_economy(
     """Forward-construct an economy whose SDF loads on Y with known zeta.
 
     The subjective discount factor is exp(-delta) exp(zeta . dY) m_j / m_i;
-    Arrow prices integrate out the Gaussian block of dY.  Returns the economy
-    together with the implied Gaussian loading of the log SDF (to be passed to
-    ``extended_pf_family``).  Inverting at the construction zeta returns the
-    construction transition matrix exactly.
+    Arrow prices integrate out the Gaussian block of dY, which leaves
+    exp(-delta) (m_j / m_i) ``conditional_increment_matrix(F)`` for
+    F = zeta . Y.  Returns the economy together with the Gaussian loading of
+    the log SDF, F's (to be passed to ``extended_pf_family``).  Inverting at
+    the construction zeta returns the construction transition matrix exactly.
     """
-    specs, z = _normalize_y_specs(y_spec, zeta)
+    f = _combined(y_spec, zeta)
     m = np.asarray(m_tilde, dtype=float)
     if np.any(m <= 0):
         raise ValueError("m_tilde must be strictly positive")
-    n = transition.n
-    p = transition.entries
-    k = specs[0].k
-    mu_y = np.stack([s.beta_bar for s in specs])
-    b = np.stack([s.gaussian_loading for s in specs])
-    c = np.stack([s.chain_loading for s in specs])
-
-    a_s = np.einsum("r,rik->ik", z, b)  # Gaussian loading of log S
-    innov = np.eye(n)[None, :, :] - p[:, None, :]
-    chain_term = np.einsum("r,rik,ijk->ij", z, c, innov)
-    row_exponent = mu_y.T @ z + 0.5 * np.sum(a_s * a_s, axis=1)
-    s = (
-        np.exp(-delta)
-        * (m[None, :] / m[:, None])
-        * np.exp(chain_term + row_exponent[:, None])
-    )
-    economy = build_economy(transition, SdfMatrix(s))
-    return economy, a_s
+    s = np.exp(-delta) * (m[None, :] / m[:, None]) * conditional_increment_matrix(f, transition)
+    return build_economy(transition, SdfMatrix(s)), f.gaussian_loading
 
 
 def structured_recover(

@@ -176,7 +176,7 @@ def recursive_sdf(
     s = (
         np.exp(-(spec.delta + spec.g_c))
         * (c[:, None] / c[None, :])
-        * _martingale_ratio(transition.entries, value.log_v_star)
+        * recursive_martingale(transition, value)
     )
     return SdfMatrix(s)
 
@@ -188,14 +188,11 @@ def recursive_martingale(
 
     Each row has conditional expectation one under the transition matrix by
     construction; the increments are identically one iff v* is constant.
+    They are computed from w = log v*: row i is shifted by the largest w on
+    its support, so it stays finite where v* itself would over- or underflow.
     """
-    return _martingale_ratio(transition.entries, value.log_v_star)
-
-
-def _martingale_ratio(p: NDArray[np.float64], w: NDArray[np.float64]) -> NDArray[np.float64]:
-    """v*_j / (P_i v*) for v* = exp(w), computed from w: row i is shifted by the
-    largest w on its support, so it stays finite where v* itself would over-
-    or underflow."""
+    p = transition.entries
+    w = value.log_v_star
     top = np.max(np.where(p > 0, w, -np.inf), axis=1)
     a = w[None, :] - top[:, None]
     pv = np.sum(p * np.exp(np.minimum(a, 0.0)), axis=1)

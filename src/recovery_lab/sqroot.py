@@ -17,7 +17,7 @@ verifies the martingale property of each candidate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -334,7 +334,7 @@ def simulate(
     )
 
 
-_MODEL_FIELDS = ("kappa", "mu_bar", "sigma_bar", "alpha_bar", "beta_bar")
+_MODEL_FIELDS = tuple(f.name for f in fields(SquareRootModel))
 
 
 def model_from_dict(payload: dict) -> SquareRootModel:
@@ -349,20 +349,13 @@ def model_to_dict(model: SquareRootModel) -> dict:
 
 
 def results_to_csv(rows: list[tuple[str, SimulationResult]], path) -> None:
-    """Write labeled path-ensemble statistics as a CSV table."""
-    fields = (
-        "x_mean",
-        "x_var",
-        "n_nan",
-        "martingale_mean",
-        "martingale_se",
-        "discounted_bond_mean",
-        "discounted_bond_se",
-    )
+    """Write labeled path-ensemble statistics as a CSV table, one column per
+    ``SimulationResult`` field; ``variance_finite`` is written as 1/0."""
+    names = [f.name for f in fields(SimulationResult)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("measure," + ",".join(fields) + "\n")
+        fh.write("measure," + ",".join(names) + "\n")
         for label, res in rows:
-            vals = [getattr(res, f) for f in fields]
+            vals = [getattr(res, name) for name in names]
             fh.write(
                 label
                 + ","

@@ -146,6 +146,18 @@ FLAG_VALUES = {
 }
 
 
+@pytest.mark.parametrize("command", ["recover", "forward", "yields", "bounds", "lrr"])
+@pytest.mark.parametrize("payload", [[1, 2], [[1]], 3, "economy", None])
+def test_non_object_input_is_an_input_error(command, payload, tmp_path, capsys):
+    # a list used to reach economy_from_dict or params_from_dict and crash
+    # there with a TypeError traceback
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main([command, "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "input error: input JSON must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestFlagTable:
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_help_lists_exactly_the_flags_read(self, command, capsys):

@@ -22,6 +22,7 @@ from conftest import (
     random_power_economy,
     random_transition,
     stagnation_grid_economy,
+    traced,
 )
 
 
@@ -811,6 +812,56 @@ class TestExtendedFamily:
         eco, a_s = mk.ross_extended_economy(transition, m_tilde, 0.02, zeta, blocks)
         ext = mk.extended_pf_family(eco, blocks, zeta, sdf_gaussian_loading=a_s)
         np.testing.assert_allclose(ext.p_hat.entries, transition.entries, atol=1e-10)
+        # the blocks enter only through F = zeta . Y: one block F at zeta = 1
+        # prices and inverts the same way, at the construction zeta and off it
+        combined = mk.GaussianAugmentedFunctional(
+            beta_bar=zeta[0] * blocks[0].beta_bar + zeta[1] * blocks[1].beta_bar,
+            alpha_bar=zeta[0] * blocks[0].alpha_bar + zeta[1] * blocks[1].alpha_bar,
+        )
+        eco_f, a_f = mk.ross_extended_economy(transition, m_tilde, 0.02, 1.0, combined)
+        np.testing.assert_allclose(eco_f.sdf.entries, eco.sdf.entries, rtol=1e-12)
+        np.testing.assert_allclose(a_f, a_s, rtol=1e-12)
+        for scale in (1.0, 0.4):
+            by_blocks = mk.extended_pf_family(eco, blocks, scale * zeta, sdf_gaussian_loading=a_s)
+            by_f = mk.extended_pf_family(eco, combined, scale, sdf_gaussian_loading=a_s)
+            np.testing.assert_allclose(by_f.p_hat.entries, by_blocks.p_hat.entries, rtol=1e-12)
+            np.testing.assert_allclose(by_f.e, by_blocks.e, rtol=1e-12)
+            assert by_f.eta == pytest.approx(by_blocks.eta, rel=1e-12, abs=1e-15)
+
+    def test_mismatched_blocks_rejected(self):
+        transition, y, eco, a_s = self._setup()
+        other = mk.GaussianAugmentedFunctional(
+            beta_bar=y.beta_bar, alpha_bar=y.alpha_bar[:, :-1]
+        )
+        with pytest.raises(ValueError, match="zeta has length 1 but 2 cash-flow blocks"):
+            mk.extended_pf_family(eco, [y, y], 0.8)
+        with pytest.raises(ValueError, match="0 cash-flow blocks"):
+            mk.extended_pf_family(eco, [], [])
+        with pytest.raises(ValueError, match="share the chain size and shock count"):
+            mk.ross_extended_economy(transition, np.ones(3), 0.03, [0.8, 0.1], [y, other])
+        with pytest.raises(ValueError, match="sdf_gaussian_loading must have shape"):
+            mk.extended_pf_family(eco, other, 0.8, sdf_gaussian_loading=a_s)
+        with pytest.raises(ValueError, match="does not match the chain"):
+            mk.conditional_increment_matrix(y, mk.StochasticMatrix(np.full((2, 2), 0.5)))
+
+    def test_memory_is_quadratic_in_the_chain_size(self):
+        # an n x n x n chain-innovation tensor would take ~218 MB at n = 300
+        rng = np.random.default_rng(3)
+        n = 300
+        transition = random_transition(rng, n)
+        y = mk.GaussianAugmentedFunctional(
+            beta_bar=rng.normal(0.0, 0.02, size=n),
+            alpha_bar=np.hstack([rng.normal(0, 0.1, (n, n)), rng.normal(0, 0.2, (n, 2))]),
+        )
+        m_tilde = rng.uniform(0.5, 1.5, size=n)
+        (eco, a_s), ross_peak, _ = traced(
+            lambda: mk.ross_extended_economy(transition, m_tilde, 0.03, 0.8, y)
+        )
+        _, ext_peak, _ = traced(
+            lambda: mk.extended_pf_family(eco, y, 0.5, sdf_gaussian_loading=a_s)
+        )
+        _, cim_peak, _ = traced(lambda: mk.conditional_increment_matrix(y, transition))
+        assert max(ross_peak, ext_peak, cim_peak) < 16e6
 
     def test_one_right_eigensolve(self, monkeypatch):
         _, y, eco, a_s = self._setup()

@@ -1,5 +1,6 @@
 """Tests for the square-root diffusion eigenfunction machinery."""
 
+import dataclasses
 import math
 import threading
 import warnings
@@ -434,3 +435,8 @@ class TestInterfaces:
         assert cells[0] == "physical"
         assert float(cells[1]) == pytest.approx(res.x_mean)
         assert cells[4] == ""  # no martingale stats for physical runs
+        # the flag that voids a standard error is the last column, as 1/0
+        flagged = dataclasses.replace(res, variance_finite=False)
+        sq.results_to_csv([("physical", res), ("flagged", flagged)], out)
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()]
+        assert [row[-1] for row in rows] == ["variance_finite", "1", "0"]
