@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -52,59 +51,39 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
-# a numpy array in a JSON payload becomes this string plus its index until written
-_ARRAY_MARK = "\x00array"
-_ARRAY_SLOT = re.compile(r'"\\u0000array(\d+)"')
-
-
 def _write_json(path: Path, payload) -> None:
-    """Write ``json.dump(payload, indent=2, sort_keys=True)`` and a newline.
-
-    numpy arrays in the payload are encoded one row at a time, byte for byte
-    as their nested lists would be, so a large matrix never exists as Python
-    floats all at once.
-    """
-    arrays = []
-
-    def hide(node):
-        if isinstance(node, np.ndarray) and node.ndim:
-            arrays.append(node)
-            return f"{_ARRAY_MARK}{len(arrays) - 1}"
-        if isinstance(node, dict):
-            return {key: hide(value) for key, value in node.items()}
-        if isinstance(node, (list, tuple)):
-            return [hide(value) for value in node]
-        return node
-
-    text = json.dumps(hide(payload), indent=2, sort_keys=True)
-    pieces = _ARRAY_SLOT.split(text)
+    """Write ``json.dump(payload, indent=2, sort_keys=True)`` and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(pieces[0])
-        for k in range(1, len(pieces), 2):
-            line = pieces[k - 1].rsplit("\n", 1)[-1]
-            depth = (len(line) - len(line.lstrip(" "))) // 2
-            for chunk in _array_chunks(arrays[int(pieces[k])], depth):
-                fh.write(chunk)
-            fh.write(pieces[k + 1])
+        fh.writelines(_json_chunks(payload, 0))
         fh.write("\n")
 
 
-def _array_chunks(a: np.ndarray, depth: int):
-    """``json.dumps(a.tolist(), indent=2)`` nested ``depth`` levels deep, one row at a time."""
-    if a.shape[0] == 0:
-        yield "[]"
-        return
+def _json_chunks(node, depth: int):
+    """``json.dumps(node, indent=2, sort_keys=True)`` nested ``depth`` levels deep, in pieces.
+
+    numpy arrays are encoded one row at a time, byte for byte as their nested
+    lists would be, so a large matrix never exists as Python floats all at once.
+    """
     pad = "\n" + "  " * (depth + 1)
-    if a.ndim > 1:
-        yield "["
-        for k, row in enumerate(a):
-            yield ("," if k else "") + pad
-            yield from _array_chunks(row, depth + 1)
+    if isinstance(node, np.ndarray) and node.ndim == 1 and node.size:
+        fast = node.dtype.kind == "f" and bool(np.all(np.isfinite(node)))
+        row = ("," + pad).join(map(float.__repr__ if fast else json.dumps, node.tolist()))
+        yield "[" + pad + row + "\n" + "  " * depth + "]"
+        return
+    if isinstance(node, dict):
+        brackets, items = "{}", ((json.dumps(key) + ": ", node[key]) for key in sorted(node))
+    elif isinstance(node, (list, tuple)) or isinstance(node, np.ndarray) and node.ndim:
+        brackets, items = "[]", (("", value) for value in node)
     else:
-        items = a.tolist()
-        fast = a.dtype.kind == "f" and bool(np.all(np.isfinite(a)))
-        yield "[" + pad + ("," + pad).join(map(float.__repr__ if fast else json.dumps, items))
-    yield "\n" + "  " * depth + "]"
+        yield json.dumps(node)
+        return
+    if not len(node):
+        yield brackets
+        return
+    for k, (head, value) in enumerate(items):
+        yield ("," if k else brackets[0]) + pad + head
+        yield from _json_chunks(value, depth + 1)
+    yield "\n" + "  " * depth + brackets[1]
 
 
 def _parse_overrides(pairs: list[str]) -> dict:

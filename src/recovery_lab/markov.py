@@ -387,7 +387,8 @@ def forward_measures(
     horizons = sorted(set(horizons))
     if any(t < 1 for t in horizons):
         raise ValueError("horizon must be a positive integer")
-    q = prices.entries
+    # Q / 2^e with e Q's binary exponent is exact and keeps the products finite
+    q = np.ldexp(prices.entries, -np.frexp(prices.entries.max())[1])
     m = q.copy()
     power = 1
     out = {}
@@ -831,6 +832,8 @@ def ross_extended_economy(
     """
     f = _combined(y_spec, zeta)
     m = np.asarray(m_tilde, dtype=float)
+    if m.shape != (transition.n,):
+        raise ValueError(f"m_tilde must have shape ({transition.n},), got {m.shape}")
     if np.any(m <= 0):
         raise ValueError("m_tilde must be strictly positive")
     s = np.exp(-delta) * (m[None, :] / m[:, None]) * conditional_increment_matrix(f, transition)
@@ -1078,6 +1081,9 @@ def economy_from_dict(payload: dict) -> Union[MarkovPricingEconomy, PricingMatri
         sdf = np.asarray(payload["sdf"], dtype=float)
     except KeyError as exc:
         raise ValueError(f"economy JSON missing field {exc}") from exc
+    for name, a in (("transition", transition), ("sdf", sdf)):
+        if a.ndim != 2:
+            raise ValueError(f"economy field {name!r} must be a matrix, got shape {a.shape}")
     n = payload.get("n", transition.shape[0])
     if transition.shape != (n, n) or sdf.shape != (n, n):
         raise ValueError("economy matrices do not match the declared size")

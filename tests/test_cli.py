@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from recovery_lab import cli
 from recovery_lab import lrr as lrr_mod
@@ -76,6 +77,17 @@ def test_lrr_run_loads_no_scipy(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+def as_lists(node):
+    """The payload with every numpy array replaced by its nested lists."""
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {key: as_lists(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [as_lists(value) for value in node]
+    return node
+
+
 def test_write_json_matches_json_dump_of_lists(tmp_path):
     rng = np.random.default_rng(4)
     m = rng.standard_normal((6, 4))
@@ -91,18 +103,39 @@ def test_write_json_matches_json_dump_of_lists(tmp_path):
         "text": "x",
         "none": None,
     }
-    as_lists = {
-        **payload,
-        "matrix": m.tolist(),
-        "finite": payload["finite"].tolist(),
-        "nested": [m[0].tolist(), {"k": m[2:4].tolist(), "v": 1.5}],
-        "ints": [0, 1, 2],
-        "empty": [],
-        "empty_rows": [[], []],
-    }
     cli._write_json(tmp_path / "t.json", payload)
-    expected = json.dumps(as_lists, indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(as_lists(payload), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "t.json").read_bytes() == expected.encode()
+
+
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+_SPECIAL_FLOATS = st.sampled_from([-0.0, 5e-324, np.inf, -np.inf, np.nan])
+_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=st.floats() | _SPECIAL_FLOATS),
+    hnp.arrays(np.int64, _SHAPES),
+)
+_LEAVES = st.one_of(
+    st.booleans(), st.none(), st.integers(), st.floats(),
+    st.text() | st.sampled_from(["p\u0302", "e*", "\u03b7\u0302"]), _ARRAYS,
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(payload=_PAYLOADS)
+def test_write_json_of_any_payload_matches_json_dumps(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("json") / "t.json"
+    cli._write_json(path, payload)
+    expected = json.dumps(as_lists(payload), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode()
 
 
 def test_write_csv_matches_savetxt(tmp_path):
@@ -155,6 +188,47 @@ def test_non_object_input_is_an_input_error(command, payload, tmp_path, capsys):
     path.write_text(json.dumps(payload))
     assert cli.main([command, "--input", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "input error: input JSON must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+ECONOMY = {"transition": [[0.9, 0.1], [0.2, 0.8]], "sdf": [[0.95, 0.97], [0.93, 0.96]]}
+PRICES_ONLY = {"prices": [[0.8, 0.1], [0.2, 0.7]]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, extra, message",
+    [
+        # a null transition was a 0-d array whose shape[0] raised IndexError
+        *[pytest.param(c, {**ECONOMY, "transition": None}, [],
+                       "economy field 'transition' must be a matrix, got shape ()",
+                       id=f"{c}-null-transition")
+          for c in ("recover", "forward", "yields", "bounds")],
+        *[pytest.param(c, {**ECONOMY, "sdf": [0.9, 0.9]}, [],
+                       "economy field 'sdf' must be a matrix, got shape (2,)",
+                       id=f"{c}-vector-sdf")
+          for c in ("recover", "forward", "yields", "bounds")],
+        pytest.param("yields", PRICES_ONLY, [], "yields needs a full economy",
+                     id="yields-prices-only"),
+        pytest.param("bounds", PRICES_ONLY, [], "bounds needs a full economy",
+                     id="bounds-prices-only"),
+        pytest.param("bounds", ECONOMY, ["--override", "payoff=arrow", "--override", "k=1"],
+                     "unknown overrides for bounds: ['k']", id="bounds-unknown-override"),
+        pytest.param("forward", ECONOMY, ["--horizons", "1:5"],
+                     "horizons must be 'a:b:step'", id="forward-horizons-1:5"),
+        pytest.param("forward", ECONOMY, ["--horizons", "5:1:1"],
+                     "horizons range must be increasing", id="forward-horizons-5:1:1"),
+        pytest.param("yields", ECONOMY, ["--horizons", "1:5:0"],
+                     "horizons range must be increasing", id="yields-horizons-1:5:0"),
+    ],
+)
+def test_malformed_economy_input_is_an_input_error(
+    command, payload, extra, message, tmp_path, capsys
+):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, "--input", str(path), "--out", str(tmp_path / "o"), *extra]
+    assert cli.main(argv) == 1
+    assert f"input error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -285,6 +359,29 @@ class TestForwardAndYields:
         _, rows = read_csv(out / "forward_limit.csv")
         # distance to the recovered matrix shrinks with maturity
         assert rows[-1, 1] < rows[0, 1]
+        assert cli.main(
+            ["forward", "--input", str(power_economy_file), "--out", str(out),
+             "--horizons", "5"]
+        ) == 0
+        payload = json.loads((out / "forward_measures.json").read_text())
+        assert set(payload["forward"]) == {"5"}
+
+    def test_forward_at_extreme_price_scale(self, tmp_path):
+        # every s = 2^1020 used to overflow in the product chain of Q's powers;
+        # forward measures do not depend on Q's scale, and bond prices scale
+        # with it exactly
+        written = {}
+        for name, s in (("huge", 2.0**1020), ("unit", 1.0)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**ECONOMY, "sdf": [[s, s], [s, s]]}))
+            assert cli.main(
+                ["forward", "--input", str(path), "--out", str(tmp_path / name)]
+            ) == 0
+            written[name] = json.loads((tmp_path / name / "forward_measures.json").read_text())
+        huge, unit = written["huge"], written["unit"]
+        for key in ("risk_neutral", "forward"):
+            assert json.dumps(huge[key]) == json.dumps(unit[key])
+        assert huge["bond_prices"] == [b * 2.0**1020 for b in unit["bond_prices"]]
 
     def test_yields_outputs(self, tmp_path, recursive_economy_file):
         out = tmp_path / "yld"
@@ -679,14 +776,15 @@ class TestDemoApprox:
         ["n_y=0", "n_zeta=0", "n_zeta=1.5",
          "sigma_y=-1", "sigma_y=0", "sigma_y=inf", "sigma_y=nan", "sigma_y=a",
          "rhos=abc", "rhos=0", "rhos=-1", "rhos=2", "rhos=3", "rhos=1,nan", "rhos=inf",
-         "zeta_min=1,2", "zeta_max=a", "zeta_min=nan", "zeta_max=inf", "zeta_min=3"],
+         "zeta_min=1,2", "zeta_max=a", "zeta_min=nan", "zeta_max=inf", "zeta_min=3",
+         "foo"],
     )
     def test_invalid_grid_override_is_an_input_error(self, override, tmp_path, capsys):
         # the demo has no grid, so n_y is an unknown override; sigma_y = -1
         # used to exit 0 with meaningless residuals and sigma_y = 0 to exit 2
         # as if the model were at fault; rhos = abc and zeta_min = 1,2 raised
         # TypeError, rhos = 0 (a unit root) exited 0 and rhos = -1 or 3
-        # exited 2; zeta_min = 3 is above the default zeta_max
+        # exited 2; zeta_min = 3 is above the default zeta_max; foo is no key=value
         argv = ["demo-approx", "--out", str(tmp_path), "--override", "rhos=1.0",
                 "--override", "n_zeta=3", "--override", override]
         assert cli.main(argv) == 1

@@ -839,6 +839,10 @@ class TestExtendedFamily:
             mk.extended_pf_family(eco, [], [])
         with pytest.raises(ValueError, match="share the chain size and shock count"):
             mk.ross_extended_economy(transition, np.ones(3), 0.03, [0.8, 0.1], [y, other])
+        # a length-1 m_tilde used to broadcast to m_j / m_i = 1 and build an economy
+        for m_tilde in ([2.0], [1.0, 2.0]):
+            with pytest.raises(ValueError, match=r"m_tilde must have shape \(3,\)"):
+                mk.ross_extended_economy(transition, m_tilde, 0.03, 0.8, y)
         with pytest.raises(ValueError, match="sdf_gaussian_loading must have shape"):
             mk.extended_pf_family(eco, other, 0.8, sdf_gaussian_loading=a_s)
         with pytest.raises(ValueError, match="does not match the chain"):
